@@ -65,7 +65,6 @@ from .traces import (
     write_trace,
     yaw_change_cdf,
 )
-from .viewprob import circular_smooth, uniform, wrapped_gaussian
 
 # Published head-motion reference bands, emitted as annotations for context.
 REFERENCE_BANDS = (
@@ -147,34 +146,6 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _sweep_probs(family: dict, grid: DirectionGrid, lags, traces_dir):
-    """Probability vectors per lag for one sweep family, plus a label."""
-    kind = family["kind"]
-    if kind == "uniform":
-        return "uniform", [uniform(grid, t) for t in lags]
-    if kind == "wrapped_gaussian_sqrt":
-        sigma0 = float(family.get("sigma0_deg", 25.0))
-        if sigma0 <= 0:
-            raise ConfigError("family.sigma0_deg: must be positive")
-        return "wrapped_gaussian_sqrt", [wrapped_gaussian(sigma0 * np.sqrt(t), grid, t) for t in lags]
-    if kind == "convolved":
-        base = wrapped_gaussian(float(family.get("base_sigma_deg", 15.0)), grid, lags[0])
-        kernel = wrapped_gaussian(float(family.get("kernel_sigma_deg", 15.0)), grid).probs
-        vectors = [base]
-        for t in lags[1:]:
-            vectors.append(circular_smooth(vectors[-1], kernel))
-        return "convolved", vectors
-    if kind == "empirical":
-        spec = {"family": "empirical", "category": family.get("category"),
-                "stride_s": family.get("stride_s", 0.1)}
-        label = "empirical" if spec["category"] is None else f"empirical:{spec['category']}"
-        vectors = []
-        for t in lags:
-            vectors.append(build_probs({**spec, "lag_s": t}, grid, traces_dir))
-        return label, vectors
-    raise ConfigError(f"family: unknown kind {kind!r}")
-
-
 def cmd_sweep(args) -> int:
     spec = parse_sweep(load_json(args.config))
     utilities = []
@@ -185,10 +156,18 @@ def cmd_sweep(args) -> int:
         seen[model.kind] = True
         utilities.append((label, model))
 
+    # a sweep family is a probs block keyed by "kind"; lag index i sets "steps"
+    family = dict(spec["family"])
+    kind = family.pop("kind")
+    label = kind
+    if kind == "empirical" and family.get("category") is not None:
+        label = f"empirical:{family['category']}"
     jobs = []
     for n_tiles in spec["tile_counts"]:
         grid = DirectionGrid(n_tiles)
-        label, vectors = _sweep_probs(spec["family"], grid, spec["lags"], getattr(args, "traces", None))
+        vectors = [build_probs({**family, "family": kind, "lag_s": lag, "steps": i},
+                               grid, getattr(args, "traces", None))
+                   for i, lag in enumerate(spec["lags"])]
         for f in spec["penalties"]:
             ladder = parse_ladder({"rates": spec["rates"], "delta": spec["delta"], "f": f})
             for ulabel, utility in utilities:

@@ -88,12 +88,20 @@ def _as_list(value):
     return value if isinstance(value, list) else [value]
 
 
+def _each(cfg: dict, key: str, check, default=None) -> list:
+    """A scalar-or-list knob as a list, each element checked by ``_int`` or ``_number``."""
+    values = _require(cfg, key) if default is None else cfg.get(key, default)
+    if not isinstance(values, list):
+        return [check({key: values}, key)]
+    return [check({f"{key}[{i}]": v}, f"{key}[{i}]") for i, v in enumerate(values)]
+
+
 def parse_ladder(cfg: dict) -> QualityLadder:
     rates = _require(cfg, "rates")
     if not isinstance(rates, list) or not rates:
         raise ConfigError("rates: expected a non-empty list")
     try:
-        return QualityLadder(tuple(rates),
+        return QualityLadder(tuple(_each(cfg, "rates", _number)),
                              chunk_s=_number(cfg, "delta", 1.0),
                              stall_penalty=_number(cfg, "f", 1.0))
     except ValueError as exc:
@@ -210,9 +218,10 @@ def parse_schedule(cfg: dict, traces_dir=None):
         if not isinstance(block, dict):
             raise ConfigError(f"passes[{i}]: expected an object")
         lead = _number(block, "lead_s")
-        probs_spec = dict(_require(block, "probs"))
-        probs_spec.setdefault("lag_s", lead)
-        probs = build_probs(probs_spec, grid, traces_dir)
+        probs_spec = _require(block, "probs")
+        if not isinstance(probs_spec, dict):
+            raise ConfigError(f"passes[{i}].probs: expected an object")
+        probs = build_probs({"lag_s": lead, **probs_spec}, grid, traces_dir)
         try:
             passes.append(PrefetchPass(lead, _int(block, "budget"), probs))
         except ValueError as exc:
@@ -229,12 +238,12 @@ def parse_sweep(cfg: dict) -> dict:
     out = {
         "rates": _require(cfg, "rates"),
         "delta": _number(cfg, "delta", 1.0),
-        "capacities": [int(c) for c in _as_list(_require(cfg, "capacity"))],
-        "betas": [float(b) for b in _as_list(cfg.get("beta", 0.0))],
-        "penalties": [float(f) for f in _as_list(cfg.get("f", 1.0))],
-        "tile_counts": [int(n) for n in _as_list(_require(cfg, "N"))],
+        "capacities": _each(cfg, "capacity", _int),
+        "betas": [float(b) for b in _each(cfg, "beta", _number, 0.0)],
+        "penalties": [float(f) for f in _each(cfg, "f", _number, 1.0)],
+        "tile_counts": _each(cfg, "N", _int),
         "utilities": _as_list(cfg.get("utility", {"kind": "linear"})),
-        "lags": [float(t) for t in _as_list(_require(cfg, "lags"))],
+        "lags": [float(t) for t in _each(cfg, "lags", _number)],
         "family": cfg.get("family", {"kind": "uniform"}),
     }
     if not isinstance(out["family"], dict) or "kind" not in out["family"]:
@@ -269,7 +278,7 @@ def parse_analyze(cfg: dict) -> dict:
     for metric in metrics:
         if metric not in known:
             raise ConfigError(f"metrics: unknown metric {metric!r}")
-    lags = [float(t) for t in _as_list(cfg.get("lags", [1.0]))]
+    lags = [float(t) for t in _each(cfg, "lags", _number, [1.0])]
     if any(t <= 0 for t in lags):
         raise ConfigError("lags: must be positive")
     out = {

@@ -171,15 +171,39 @@ class DirectionGrid:
         return idx if idx.ndim else int(idx)
 
 
-def _as_prob_array(probs, n_tiles: int) -> np.ndarray:
+def _as_prob_array(probs, n_tiles: int | None = None, name: str = "probabilities") -> np.ndarray:
+    """The one probability-vector check: a bare array or anything exposing ``.probs``.
+
+    The vector must have ``n_tiles`` entries when given, else be 1-D with at
+    least two, and be finite, nonnegative and sum to 1 within PROB_SUM_TOL.
+    """
     p = np.asarray(getattr(probs, "probs", probs), dtype=float)
-    if p.shape != (n_tiles,):
-        raise ValueError(f"need {n_tiles} tile probabilities, got shape {p.shape}")
+    if n_tiles is None:
+        if p.ndim != 1 or p.size < 2:
+            raise ValueError("need a 1-D vector with at least two tiles")
+    elif p.shape != (n_tiles,):
+        raise ValueError(f"{name} length must match the tile count: "
+                         f"need {n_tiles} tile probabilities, got shape {p.shape}")
     if np.any(p < 0) or not np.all(np.isfinite(p)):
-        raise ValueError("probabilities must be finite and nonnegative")
+        raise ValueError(f"{name} must be finite and nonnegative")
     if abs(p.sum() - 1.0) > PROB_SUM_TOL:
-        raise ValueError("probabilities must sum to 1")
+        raise ValueError(f"{name} must sum to 1 within {PROB_SUM_TOL:g}")
     return p
+
+
+def _as_nonneg_ints(values, name: str, ndim: int = 0) -> np.ndarray:
+    """The one nonnegative-integer check: ``values`` as int64 with ``ndim`` axes.
+
+    Integral floats such as 3.0 pass; bools, strings, infinities, NaNs and
+    fractions do not.
+    """
+    a = np.asarray(values)
+    noun = "a nonnegative integer" if ndim == 0 else "nonnegative integers"
+    if a.ndim != ndim or a.dtype.kind not in "iuf" or not np.all(np.isfinite(a)) or np.any(a < 0):
+        raise ValueError(f"{name} must be {noun}")
+    if np.any(a != np.rint(a)):
+        raise ValueError(f"{name} must be {noun}; round before use")
+    return a.astype(np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,23 +230,13 @@ class Instance:
         n = self.grid.n_tiles
         width = self.ladder.n_levels + 1
         object.__setattr__(self, "probs", _as_prob_array(self.probs, n))
-        cap = self.capacity
-        if not (np.isscalar(cap) and np.isfinite(cap) and float(cap) == int(cap) and int(cap) >= 0):
-            raise ValueError("capacity must be a nonnegative integer")
-        object.__setattr__(self, "capacity", int(cap))
+        object.__setattr__(self, "capacity", int(_as_nonneg_ints(self.capacity, "capacity")))
         if not (0.0 <= self.beta <= 1.0):
             raise ValueError("beta must lie in [0, 1]")
         if self.sizes is not None:
-            s = np.asarray(self.sizes)
-            if s.shape != (n, width):
+            if np.shape(self.sizes) != (n, width):
                 raise ValueError(f"size table must have shape ({n}, {width})")
-            if not np.all(np.isfinite(np.asarray(s, dtype=float))):
-                raise ValueError("sizes must be finite")
-            if np.any(np.asarray(s, dtype=float) != np.rint(np.asarray(s, dtype=float))):
-                raise ValueError("sizes must be integers; round before building the instance")
-            s = s.astype(np.int64)
-            if np.any(s < 0):
-                raise ValueError("sizes must be nonnegative")
+            s = _as_nonneg_ints(self.sizes, "sizes", ndim=2)
             if np.any(s[:, 0] != 0):
                 raise ValueError("level 0 must have size 0")
             object.__setattr__(self, "sizes", s)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DirectionGrid, Instance, QualityLadder, UtilityModel, eval_objective
+from .model import _as_nonneg_ints, _as_prob_array
 from .optimizer import SolveReport, solve_dp
 
 __all__ = [
@@ -42,15 +43,9 @@ class TileState:
     levels: np.ndarray
 
     def __post_init__(self):
-        lv = np.asarray(self.levels)
-        if lv.ndim != 1 or lv.size < 2:
+        if np.ndim(self.levels) != 1 or np.size(self.levels) < 2:
             raise ValueError("need one level per tile, at least two tiles")
-        if np.any(np.asarray(lv, dtype=float) != np.rint(np.asarray(lv, dtype=float))):
-            raise ValueError("levels must be integers")
-        lv = lv.astype(np.int64)
-        if np.any(lv < 0):
-            raise ValueError("levels must be nonnegative")
-        object.__setattr__(self, "levels", lv)
+        object.__setattr__(self, "levels", _as_nonneg_ints(self.levels, "levels", ndim=1))
 
     @classmethod
     def empty(cls, n_tiles: int) -> "TileState":
@@ -82,9 +77,7 @@ class PrefetchPass:
     def __post_init__(self):
         if not (np.isfinite(self.lead_time_s) and self.lead_time_s >= 0):
             raise ValueError("lead time must be finite and nonnegative")
-        if not (np.isscalar(self.budget) and float(self.budget) == int(self.budget) and int(self.budget) >= 0):
-            raise ValueError("budget must be a nonnegative integer")
-        object.__setattr__(self, "budget", int(self.budget))
+        object.__setattr__(self, "budget", int(_as_nonneg_ints(self.budget, "budget")))
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,7 +126,7 @@ def refine(state: TileState, probs, budget: int, size_model: SizeModel,
     cached" is always feasible (level <= cached costs 0).  The merged state
     never drops a tile below its cached level even when the solver would.
     """
-    p = np.asarray(getattr(probs, "probs", probs), dtype=float)
+    p = _as_prob_array(probs)
     grid = DirectionGrid(p.size)
     if state.levels.size != p.size:
         raise ValueError("state and probability vector disagree on tile count")
@@ -168,7 +161,7 @@ def run_plan(plan: PrefetchPlan, ladder: QualityLadder, utility: UtilityModel,
     results = []
     for i, booking in enumerate(plan.passes):
         if state is None:
-            state = TileState.empty(np.asarray(getattr(booking.probs, "probs", booking.probs)).size)
+            state = TileState.empty(_as_prob_array(booking.probs).size)
         state, report = refine(state, booking.probs, booking.budget, size_model,
                                ladder, utility, beta)
         grid = DirectionGrid(state.levels.size)

@@ -31,7 +31,6 @@ __all__ = [
     "HeadTrace",
     "Cdf",
     "Heatmap",
-    "circ_dist",
     "parse_trace",
     "write_trace",
     "rebase_yaw",
@@ -52,11 +51,6 @@ CATEGORIES = ("rides", "exploration", "moving_focus", "static_focus", "misc")
 TRACE_COLUMNS = ("t_s", "yaw_deg", "pitch_deg", "roll_deg", "yaw_dps", "pitch_dps", "roll_dps")
 
 _EPS = 1e-9
-
-
-def circ_dist(a, b):
-    """Shorter-arc distance between two angles in degrees, in [0, 180]."""
-    return circ_dist_deg(a, b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,6 +234,20 @@ def _stride_grid(trace: HeadTrace, lag_s: float, stride_s: float) -> np.ndarray:
     return trace.t[0] + np.arange(max(count, 0)) * stride_s
 
 
+def _windows(trace: HeadTrace, lag_s: float, stride_s: float):
+    """Lookahead windows on the stride grid: (starts, origin_yaw, change).
+
+    ``origin_yaw`` is the yaw at each start time and ``change`` the signed
+    circular yaw change over the following lag_s, both as ``yaw_at`` reads
+    them, from a single unwrap of the yaw track.
+    """
+    starts = _stride_grid(trace, lag_s, stride_s)
+    lifted = unwrap_deg(trace.yaw)
+    origin = wrap_deg(np.interp(starts, trace.t, lifted))
+    change = circ_diff_deg(wrap_deg(np.interp(starts + lag_s, trace.t, lifted)), origin)
+    return starts, origin, change
+
+
 def yaw_changes(trace: HeadTrace, lag_s: float, stride_s: float = 0.1) -> np.ndarray:
     """Signed circular yaw changes over a lookahead of lag_s.
 
@@ -248,10 +256,7 @@ def yaw_changes(trace: HeadTrace, lag_s: float, stride_s: float = 0.1) -> np.nda
     """
     if not (np.isfinite(lag_s) and lag_s > 0):
         raise ValueError("lag must be positive and finite")
-    starts = _stride_grid(trace, lag_s, stride_s)
-    if starts.size == 0:
-        return np.empty(0)
-    return circ_diff_deg(yaw_at(trace, starts + lag_s), yaw_at(trace, starts))
+    return _windows(trace, lag_s, stride_s)[2]
 
 
 def _require_traces(traces) -> list:
@@ -406,16 +411,13 @@ def velocity_prediction_error(traces, lag_s: float, vel_threshold_dps: float,
     qualifying = 0
     errors = 0
     for tr in traces:
-        starts = _stride_grid(tr, lag_s, stride_s)
-        if starts.size == 0:
-            continue
+        starts, _, changes = _windows(tr, lag_s, stride_s)
         vel = np.interp(starts, tr.t, tr.yaw_vel)
         mask = np.abs(vel) > vel_threshold_dps
         if not np.any(mask):
             continue
-        changes = circ_diff_deg(yaw_at(tr, starts[mask] + lag_s), yaw_at(tr, starts[mask]))
         qualifying += int(mask.sum())
-        errors += int(np.sum(changes * np.sign(vel[mask]) < -safety_angle_deg))
+        errors += int(np.sum(changes[mask] * np.sign(vel[mask]) < -safety_angle_deg))
     if qualifying == 0:
         raise ValueError("no samples exceed the velocity threshold")
     return errors / qualifying
@@ -435,11 +437,7 @@ def origin_conditioned_change(traces, lag_s: float, sector_deg: float = 60.0,
     n_sectors = int(round(360.0 / sector_deg))
     buckets: dict[int, list] = {}
     for tr in traces:
-        starts = _stride_grid(tr, lag_s, stride_s)
-        if starts.size == 0:
-            continue
-        origin = yaw_at(tr, starts)
-        changes = circ_diff_deg(yaw_at(tr, starts + lag_s), origin)
+        _, origin, changes = _windows(tr, lag_s, stride_s)
         sectors = np.minimum((np.mod(origin, 360.0) // sector_deg).astype(int), n_sectors - 1)
         for s in np.unique(sectors):
             buckets.setdefault(int(s), []).append(changes[sectors == s])
@@ -461,15 +459,12 @@ def phase_split_cdf(traces, lag_s: float, split_s: float = 20.0, stride_s: float
     early = []
     late = []
     for tr in traces:
-        starts = _stride_grid(tr, lag_s, stride_s)
-        if starts.size == 0:
-            continue
-        changes = circ_diff_deg(yaw_at(tr, starts + lag_s), yaw_at(tr, starts))
+        starts, _, changes = _windows(tr, lag_s, stride_s)
         mask = (starts - tr.t[0]) < split_s
         early.append(changes[mask])
         late.append(changes[~mask])
-    early = np.concatenate(early) if early else np.empty(0)
-    late = np.concatenate(late) if late else np.empty(0)
+    early = np.concatenate(early)
+    late = np.concatenate(late)
     if early.size == 0 or late.size == 0:
         raise ValueError("need samples in both phases; lower the lag or lengthen traces")
     return Cdf(early), Cdf(late)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .model import DirectionGrid
-from .traces import _stride_grid, yaw_at, yaw_changes
+from .model import DirectionGrid, _as_prob_array
+from .traces import _windows, yaw_changes
 
 __all__ = [
     "PROB_SOURCES",
@@ -56,13 +56,7 @@ class ProbVector:
     source: str = "explicit"
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
-        if p.ndim != 1 or p.size < 2:
-            raise ValueError("need a 1-D vector with at least two tiles")
-        if np.any(p < 0) or not np.all(np.isfinite(p)):
-            raise ValueError("probabilities must be finite and nonnegative")
-        if abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError("probabilities must sum to 1 within 1e-9")
+        p = _as_prob_array(self.probs)
         if self.source not in PROB_SOURCES:
             raise ValueError(f"unknown source {self.source!r}")
         object.__setattr__(self, "probs", p)
@@ -140,14 +134,8 @@ def circular_smooth(p: ProbVector, kernel) -> ProbVector:
     probability vector over tile offsets, so total mass is preserved; a
     point-mass kernel at offset k rotates p by k tiles.
     """
-    kern = np.asarray(kernel, dtype=float)
     n = p.n_tiles
-    if kern.shape != (n,):
-        raise ValueError("kernel length must match the tile count")
-    if np.any(kern < 0) or not np.all(np.isfinite(kern)):
-        raise ValueError("kernel must be finite and nonnegative")
-    if abs(kern.sum() - 1.0) > 1e-9:
-        raise ValueError("kernel must sum to 1 within 1e-9")
+    kern = _as_prob_array(kernel, n, "kernel")
     idx = np.arange(n)
     mix = kern[(idx[:, None] - idx[None, :]) % n]
     return ProbVector(mix @ p.probs, p.lag_s, "convolved")
@@ -196,7 +184,7 @@ def empirical_yaw_change(traces, lag_s: float, stride_s: float = 0.1,
     if not bin_width_deg > 0 or abs(360.0 / bin_width_deg - round(360.0 / bin_width_deg)) > _EPS:
         raise ValueError("bin width must divide 360 evenly")
     if np.isinf(lag_s):
-        samples = np.concatenate([yaw_at(tr, _stride_grid(tr, 0.0, stride_s)) for tr in traces])
+        samples = np.concatenate([_windows(tr, 0.0, stride_s)[1] for tr in traces])
     else:
         if not lag_s > 0:
             raise ValueError("lag must be positive")

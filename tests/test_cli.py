@@ -91,6 +91,29 @@ class TestExitCodes:
         assert main(["solve"]) == 1
         assert main(["solve", "--config", "x", "--bogus"]) == 1
 
+    SWEEP = {"rates": [100, 200], "N": 3, "capacity": [100, 300], "lags": [1.0, 2.0]}
+
+    @pytest.mark.parametrize("command, config, key", [
+        ("sweep", {**SWEEP, "capacity": None}, "capacity"),
+        ("sweep", {**SWEEP, "N": None}, "N"),
+        ("sweep", {**SWEEP, "lags": [None]}, "lags"),
+        ("sweep", {**SWEEP, "family": {"kind": "wrapped_gaussian_sqrt", "sigma0_deg": None}},
+         "sigma0_deg"),
+        ("sweep", {**SWEEP, "capacity": [100.7]}, "capacity"),
+        ("sweep", {**SWEEP, "beta": [True]}, "beta"),
+        ("solve", {**TOY_SOLVE, "rates": [None]}, "rates"),
+        ("schedule", {"rates": [100, 200], "N": 3,
+                      "passes": [{"lead_s": 5, "budget": 10, "probs": 5}]}, "probs"),
+        ("analyze", {"lags": [None]}, "lags"),
+    ], ids=["sweep-capacity-null", "sweep-N-null", "sweep-lag-null", "sweep-sigma0-null",
+            "sweep-capacity-fraction", "sweep-beta-bool", "solve-rate-null",
+            "schedule-probs-number", "analyze-lag-null"])
+    def test_malformed_config_names_the_key(self, tmp_path, capsys, command, config, key):
+        cfg = write_config(tmp_path, config)
+        assert main([command, "--config", cfg]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and key in lines[0]
+
     def test_internal_failure_returns_2(self, tmp_path, monkeypatch, capsys):
         from prefetch360 import cli
 
@@ -147,6 +170,32 @@ class TestSweep:
         main(["sweep", "--config", cfg, "--out", str(second)])
         main(["sweep", "--config", cfg, "--out", str(parallel), "--workers", "4"])
         assert first.read_bytes() == second.read_bytes() == parallel.read_bytes()
+
+    @pytest.mark.parametrize("family", [
+        {"kind": "wrapped_gaussian_sqrt", "sigma0_deg": 30.0},
+        {"kind": "convolved", "base_sigma_deg": 20.0, "kernel_sigma_deg": 40.0},
+        {"kind": "wrapped_gaussian", "sigma_deg": 50.0},
+    ], ids=["wrapped_gaussian_sqrt", "convolved", "wrapped_gaussian"])
+    def test_family_rows_match_solve_on_the_probs_block(self, tmp_path, capsys, family):
+        # lag index i of a sweep is the probs block with lag_s = lags[i] and steps = i
+        lags = [1.0, 2.0, 4.0]
+        sweep = {"rates": [100, 200], "N": 4, "capacity": [300, 500], "beta": [0.0, 0.5],
+                 "lags": lags, "family": family}
+        out = tmp_path / "curves.csv"
+        assert main(["sweep", "--config", write_config(tmp_path, sweep), "--out", str(out)]) == 0
+        rows = read_csv(out)[1:]
+        assert len(rows) == 2 * 2 * len(lags)
+        kind = family["kind"]
+        params = {k: v for k, v in family.items() if k != "kind"}
+        for row in rows:
+            assert row[0] == kind
+            i = [f"{t:.6f}" for t in lags].index(row[6])
+            solve = {"rates": [100, 200], "N": 4, "capacity": int(row[3]), "beta": float(row[5]),
+                     "probs": {**params, "family": kind, "lag_s": lags[i], "steps": i}}
+            assert main(["solve", "--config", write_config(tmp_path, solve, "solve.json")]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert float(row[7]) == pytest.approx(payload["value"], abs=1e-6)
+            assert row[8] == "|".join(str(level) for level in payload["levels"])
 
     def test_empirical_family_needs_traces(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {**self.SWEEP, "family": {"kind": "empirical"}})

@@ -1,5 +1,7 @@
 """Layered refinement: upgrade pricing, single passes, and full plans."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,10 @@ class TestStateAndPlanValidation:
             TileState(np.array([0.5, 1.0]))
         with pytest.raises(ValueError, match="nonnegative"):
             TileState(np.array([-1, 0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no cast warning before the message
+            with pytest.raises(ValueError, match="nonnegative integers"):
+                TileState(np.array([1, np.inf]))
 
     def test_size_model(self):
         assert SizeModel().mode == "svc_ideal"
@@ -46,8 +52,9 @@ class TestStateAndPlanValidation:
         p = np.array(TOY_PROBS)
         with pytest.raises(ValueError, match="lead time"):
             PrefetchPass(-1.0, 100, p)
-        with pytest.raises(ValueError, match="budget"):
-            PrefetchPass(1.0, -5, p)
+        for budget in (-5, float("inf"), "5", True):
+            with pytest.raises(ValueError, match="budget"):
+                PrefetchPass(1.0, budget, p)
         with pytest.raises(ValueError, match="at least one pass"):
             PrefetchPlan(())
         with pytest.raises(ValueError, match="strictly decrease"):
