@@ -35,12 +35,14 @@ def capacity_sweep():
     probs = wrapped_gaussian(25.0 * np.sqrt(20.0), GRID, 20.0)
     print(f"tile probabilities: {np.array2string(probs.probs, precision=3)}")
     print(f"{'capacity':>9}  {'levels':<12} {'value':>8}  gain")
+    capacities = (1250, 2500, 5000, 10000, 20000)
+    # one DP pass at the top budget holds the optimum for every smaller one
+    report = solve_dp(Instance(GRID, LADDER, UTILITY, probs, max(capacities), beta=0.0), capacities)
     previous = None
-    for capacity in (1250, 2500, 5000, 10000, 20000):
-        report = solve_dp(Instance(GRID, LADDER, UTILITY, probs, capacity, beta=0.0))
-        gain = "" if previous is None else f"+{report.value - previous:.4f}"
-        print(f"{capacity:>9}  {levels_str(report.selection):<12} {report.value:>8.4f}  {gain}")
-        previous = report.value
+    for capacity, selection in zip(capacities, report.selections):
+        gain = "" if previous is None else f"+{selection.value - previous:.4f}"
+        print(f"{capacity:>9}  {levels_str(selection):<12} {selection.value:>8.4f}  {gain}")
+        previous = selection.value
     print("each doubling buys less than the one before it\n")
 
 

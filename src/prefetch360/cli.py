@@ -19,13 +19,13 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from .config import (
     ConfigError,
+    _int,
     build_probs,
     load_json,
     load_traces,
@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Tile-quality prefetch optimization and trace analytics.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, traces=False, seed=False, workers=False, out_required=False):
+    def add(name, help_text, traces=False, seed=False, out_required=False):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", required=out_required, default=None,
@@ -96,12 +96,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--traces", default=None, help="directory of head-trace CSVs")
         if seed:
             p.add_argument("--seed", type=int, default=0, help="RNG seed")
-        if workers:
-            p.add_argument("--workers", type=int, default=1, help="parallel solver threads")
         return p
 
     add("solve", "optimize one instance", traces=True)
-    add("sweep", "optimal-value curves over a lag grid", traces=True, workers=True)
+    add("sweep", "optimal-value curves over a lag grid", traces=True)
     add("schedule", "run a layered prefetch plan", traces=True)
     add("analyze", "head-trace analytics", traces=True)
     add("oracle", "cross-check DP against brute force", traces=True, seed=True)
@@ -162,7 +160,8 @@ def cmd_sweep(args) -> int:
     label = kind
     if kind == "empirical" and family.get("category") is not None:
         label = f"empirical:{family['category']}"
-    jobs = []
+    caps = spec["capacities"]
+    results = []
     for n_tiles in spec["tile_counts"]:
         grid = DirectionGrid(n_tiles)
         vectors = [build_probs({**family, "family": kind, "lag_s": lag, "steps": i},
@@ -171,27 +170,16 @@ def cmd_sweep(args) -> int:
         for f in spec["penalties"]:
             ladder = parse_ladder({"rates": spec["rates"], "delta": spec["delta"], "f": f})
             for ulabel, utility in utilities:
-                for cap in spec["capacities"]:
-                    for beta in spec["betas"]:
-                        for lag, probs in zip(spec["lags"], vectors):
-                            jobs.append((label, ulabel, n_tiles, cap, f, beta, lag,
-                                         grid, ladder, utility, probs))
-
-    def run(job):
-        label, ulabel, n_tiles, cap, f, beta, lag, grid, ladder, utility, probs = job
-        inst = Instance(grid, ladder, utility, probs, cap, beta)
-        report = solve_dp(inst)
-        # row values re-evaluate bit-exactly by construction
-        value = eval_objective(report.selection, inst)
-        return (label, ulabel, n_tiles, cap, f, beta, lag,
-                value, "|".join(str(l) for l in report.selection.levels))
-
-    workers = max(1, getattr(args, "workers", 1) or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(job) for job in jobs]
+                for beta in spec["betas"] if caps else ():
+                    for lag, probs in zip(spec["lags"], vectors):
+                        # one DP at the largest budget answers every capacity of the group
+                        inst = Instance(grid, ladder, utility, probs, max(caps), beta)
+                        report = solve_dp(inst, caps)
+                        for cap, selection in zip(caps, report.selections):
+                            # row values re-evaluate bit-exactly by construction
+                            results.append((label, ulabel, n_tiles, cap, f, beta, lag,
+                                            eval_objective(selection, inst),
+                                            "|".join(str(l) for l in selection.levels)))
 
     results.sort(key=lambda r: (r[0], r[1], r[2], r[3], r[4], r[5], r[6]))
     rows = [(family, ulabel, n, c, _fmt(f), _fmt(beta), _fmt(lag), _fmt(value), levels)
@@ -282,8 +270,8 @@ def cmd_oracle(args) -> int:
         batch = cfg["batch"]
         if not isinstance(batch, dict):
             raise ConfigError("batch: expected an object")
-        count = batch.get("count", 100)
-        if not isinstance(count, int) or count < 1:
+        count = _int({"batch.count": batch.get("count", 100)}, "batch.count")
+        if count < 1:
             raise ConfigError("batch.count: expected a positive integer")
         rng = np.random.default_rng(args.seed)
         for i in range(count):

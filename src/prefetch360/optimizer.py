@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Instance, Selection, eval_objective
+from .model import Instance, Selection, _as_nonneg_ints
 
 __all__ = [
     "SolveStats",
@@ -43,6 +43,9 @@ BRUTE_FORCE_LIMIT = 10_000_000
 
 FULL_TABLE_LIMIT = 50_000_000
 
+# bytes of int16 argmax table; admits N=24, six levels, C=400k (0.94 GB)
+PARENTS_TABLE_LIMIT = 1 << 30
+
 _CHUNK = 1 << 18
 
 
@@ -56,12 +59,13 @@ class SolveStats:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Solver output: the chosen selection, its value, and run stats."""
+    """Solver output: the chosen selection, its value, run stats, per-capacity selections."""
 
     selection: Selection
     value: float
     method: str
     stats: SolveStats
+    selections: tuple[Selection, ...] = ()
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,7 +88,7 @@ def _weights(inst: Instance):
     return expect_w, edge_w
 
 
-def _dp_run(inst: Instance, keep_values: bool):
+def _dp_run(inst: Instance, keep_values: bool, columns):
     grid_n = inst.grid.n_tiles
     utility = inst.utility_table
     sizes = inst.size_table
@@ -92,12 +96,14 @@ def _dp_run(inst: Instance, keep_values: bool):
     cap = inst.capacity
     expect_w, edge_w = _weights(inst)
 
+    table_bytes = n_levels * n_levels * grid_n * (cap + 1) * 2
+    if table_bytes > PARENTS_TABLE_LIMIT:
+        raise ValueError(f"DP parents table needs {table_bytes} bytes, over {PARENTS_TABLE_LIMIT}")
     parents = np.full((n_levels, n_levels, grid_n, cap + 1), -1, dtype=np.int16)
     values = np.full((n_levels, n_levels, grid_n, cap + 1), -np.inf) if keep_values else None
 
-    best_value = -np.inf
-    best_l0 = 0
-    final_per_l0 = np.empty(n_levels)
+    # final[l0, k]: best ring value with tile 0 at l0 within budget columns[k]
+    final = np.empty((n_levels, len(columns)))
     for l0 in range(n_levels):
         base = expect_w[0] * utility[0, l0] - edge_w[0] * np.abs(utility[0, l0] - utility[1 % grid_n, :])
         feasible = np.arange(cap + 1) >= sizes[0, l0]
@@ -121,32 +127,37 @@ def _dp_run(inst: Instance, keep_values: bool):
             layer = nxt_layer
             if keep_values:
                 values[l0, :, n, :] = layer
-        final_per_l0[l0] = layer[l0, cap]
-        if final_per_l0[l0] > best_value:
-            best_value = final_per_l0[l0]
-            best_l0 = l0
+        final[l0] = layer[l0, columns]
 
-    levels = np.empty(grid_n, dtype=np.int64)
-    levels[0] = best_l0
-    c = cap
-    l = best_l0
-    for n in range(grid_n - 1, 0, -1):
-        cur = int(parents[best_l0, l, n, c])
-        levels[n] = cur
-        c -= int(sizes[n, cur])
-        l = cur
-    return levels, float(best_value), values, parents
+    selections = []
+    for k, c in enumerate(columns):
+        # the first maximum is the lowest l0, the documented tie-break
+        best_l0 = int(np.argmax(final[:, k]))
+        levels = [best_l0] * grid_n
+        l = best_l0
+        for n in range(grid_n - 1, 0, -1):
+            l = int(parents[best_l0, l, n, c])
+            levels[n] = l
+            c -= int(sizes[n, l])
+        selections.append(Selection(tuple(levels), float(final[best_l0, k])))
+    return selections, values, parents
 
 
-def solve_dp(inst: Instance) -> SolveReport:
-    """Exact ring DP; see the module docstring for the recursion."""
+def solve_dp(inst: Instance, capacities=None) -> SolveReport:
+    """Exact ring DP; see the module docstring for the recursion.
+
+    The pass at ``inst.capacity`` also answers each smaller budget in ``capacities``,
+    read off the same table into ``report.selections`` in the given order.
+    """
     start = time.perf_counter()
-    levels, value, _, _ = _dp_run(inst, keep_values=False)
+    caps = _as_nonneg_ints([] if capacities is None else capacities, "capacity", ndim=1)
+    if np.any(caps > inst.capacity):
+        raise ValueError(f"capacity must not exceed the instance capacity {inst.capacity}")
+    (top, *rest), _, _ = _dp_run(inst, keep_values=False, columns=[inst.capacity, *caps])
     elapsed = time.perf_counter() - start
     width = inst.ladder.n_levels + 1
     count = width * width * inst.grid.n_tiles * (inst.capacity + 1)
-    return SolveReport(Selection(tuple(int(x) for x in levels), value), value, "dp",
-                       SolveStats(count, elapsed))
+    return SolveReport(top, top.value, "dp", SolveStats(count, elapsed), tuple(rest))
 
 
 def solve_dp_full(inst: Instance):
@@ -160,10 +171,9 @@ def solve_dp_full(inst: Instance):
     if count > FULL_TABLE_LIMIT:
         raise ValueError("full DP table would be too large; use solve_dp")
     start = time.perf_counter()
-    levels, value, values, parents = _dp_run(inst, keep_values=True)
+    (selection,), values, parents = _dp_run(inst, keep_values=True, columns=[inst.capacity])
     elapsed = time.perf_counter() - start
-    report = SolveReport(Selection(tuple(int(x) for x in levels), value), value, "dp",
-                         SolveStats(count, elapsed))
+    report = SolveReport(selection, selection.value, "dp", SolveStats(count, elapsed))
     return report, DpTable(values, parents)
 
 

@@ -100,19 +100,29 @@ class TestExitCodes:
         ("sweep", {**SWEEP, "family": {"kind": "wrapped_gaussian_sqrt", "sigma0_deg": None}},
          "sigma0_deg"),
         ("sweep", {**SWEEP, "capacity": [100.7]}, "capacity"),
+        ("sweep", {**SWEEP, "capacity": [-5, 100]}, "capacity"),
         ("sweep", {**SWEEP, "beta": [True]}, "beta"),
         ("solve", {**TOY_SOLVE, "rates": [None]}, "rates"),
         ("schedule", {"rates": [100, 200], "N": 3,
                       "passes": [{"lead_s": 5, "budget": 10, "probs": 5}]}, "probs"),
         ("analyze", {"lags": [None]}, "lags"),
+        ("oracle", {"batch": {"count": True}}, "batch.count"),
     ], ids=["sweep-capacity-null", "sweep-N-null", "sweep-lag-null", "sweep-sigma0-null",
-            "sweep-capacity-fraction", "sweep-beta-bool", "solve-rate-null",
-            "schedule-probs-number", "analyze-lag-null"])
+            "sweep-capacity-fraction", "sweep-capacity-negative", "sweep-beta-bool",
+            "solve-rate-null", "schedule-probs-number", "analyze-lag-null", "oracle-count-bool"])
     def test_malformed_config_names_the_key(self, tmp_path, capsys, command, config, key):
         cfg = write_config(tmp_path, config)
         assert main([command, "--config", cfg]) == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:") and key in lines[0]
+
+    def test_oversized_dp_table_is_refused_before_allocation(self, tmp_path, capsys):
+        # the int16 parents table would need 2.35 TB
+        cfg = write_config(tmp_path, {"rates": list(SIX_LEVEL_RATES), "N": 24,
+                                      "capacity": 10**9, "probs": {"family": "uniform"}})
+        assert main(["solve", "--config", cfg]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and "parents table" in lines[0]
 
     def test_internal_failure_returns_2(self, tmp_path, monkeypatch, capsys):
         from prefetch360 import cli
@@ -161,15 +171,24 @@ class TestSweep:
                             np.full(3, 1 / 3), int(row[3]), float(row[5]))
             assert f"{eval_objective(levels, inst):.6f}" == row[7]
 
-    def test_byte_identical_reruns_and_worker_independence(self, tmp_path):
+    def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path, self.SWEEP)
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"
-        parallel = tmp_path / "c.csv"
         main(["sweep", "--config", cfg, "--out", str(first)])
         main(["sweep", "--config", cfg, "--out", str(second)])
-        main(["sweep", "--config", cfg, "--out", str(parallel), "--workers", "4"])
-        assert first.read_bytes() == second.read_bytes() == parallel.read_bytes()
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_empty_capacity_list_prints_the_header_only(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {**self.SWEEP, "capacity": []})
+        assert main(["sweep", "--config", cfg]) == 0
+        assert capsys.readouterr().out == "family,utility,N,C,f,beta,T,value,levels\n"
+
+    def test_workers_flag_is_gone(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, self.SWEEP)
+        assert main(["sweep", "--config", cfg, "--workers", "4"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
 
     @pytest.mark.parametrize("family", [
         {"kind": "wrapped_gaussian_sqrt", "sigma0_deg": 30.0},
@@ -177,14 +196,16 @@ class TestSweep:
         {"kind": "wrapped_gaussian", "sigma_deg": 50.0},
     ], ids=["wrapped_gaussian_sqrt", "convolved", "wrapped_gaussian"])
     def test_family_rows_match_solve_on_the_probs_block(self, tmp_path, capsys, family):
-        # lag index i of a sweep is the probs block with lag_s = lags[i] and steps = i
+        # lag index i of a sweep is the probs block with lag_s = lags[i] and steps = i;
+        # capacities come unsorted, with 0 and a repeat, all from one DP per group
         lags = [1.0, 2.0, 4.0]
-        sweep = {"rates": [100, 200], "N": 4, "capacity": [300, 500], "beta": [0.0, 0.5],
+        caps = [500, 0, 300, 500]
+        sweep = {"rates": [100, 200], "N": 4, "capacity": caps, "beta": [0.0, 0.5],
                  "lags": lags, "family": family}
         out = tmp_path / "curves.csv"
         assert main(["sweep", "--config", write_config(tmp_path, sweep), "--out", str(out)]) == 0
         rows = read_csv(out)[1:]
-        assert len(rows) == 2 * 2 * len(lags)
+        assert [int(row[3]) for row in rows] == sorted(caps * 2 * len(lags))
         kind = family["kind"]
         params = {k: v for k, v in family.items() if k != "kind"}
         for row in rows:

@@ -1,5 +1,7 @@
 """Solver cross-checks: DP against exhaustive search and the knapsack form."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,45 @@ class TestFullTable:
                         np.full(6, 1 / 6), 10_000_000, 0.0)
         with pytest.raises(ValueError, match="too large"):
             solve_dp_full(inst)
+
+    def test_dp_refuses_parents_tables_over_the_limit(self, ladder6, grid6, monkeypatch):
+        from prefetch360 import optimizer
+
+        # the limit admits N=24, six levels, C=400k (four-second chunks)
+        assert 7 * 7 * 24 * 400_001 * 2 <= optimizer.PARENTS_TABLE_LIMIT
+        inst = Instance(grid6, ladder6, UtilityModel("linear"), np.full(6, 1 / 6), 1000, 0.0)
+        table_bytes = 7 * 7 * 6 * 1001 * 2
+        monkeypatch.setattr(optimizer, "PARENTS_TABLE_LIMIT", table_bytes)
+        assert solve_dp(inst).selection.levels
+        monkeypatch.setattr(optimizer, "PARENTS_TABLE_LIMIT", table_bytes - 1)
+        with pytest.raises(ValueError, match="parents table"):
+            solve_dp(inst)
+
+
+class TestCapacityGrid:
+    @pytest.mark.parametrize("draw, seed", [(random_instance, 11), (dyadic_instance, 12)],
+                             ids=["random", "dyadic"])
+    def test_one_pass_matches_a_solve_per_capacity(self, draw, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            inst = draw(rng)
+            # unsorted, with 0, the top budget and a repeated entry
+            picks = rng.integers(0, inst.capacity + 1, size=4).tolist()
+            caps = [picks[0], 0, inst.capacity, *picks[1:], picks[0]]
+            rng.shuffle(caps)
+            report = solve_dp(inst, caps)
+            assert len(report.selections) == len(caps)
+            for cap, selection in zip(caps, report.selections):
+                alone = solve_dp(replace(inst, capacity=cap))
+                assert selection.levels == alone.selection.levels
+                assert selection.value == alone.value
+
+    def test_rejects_capacities_outside_the_table(self, toy_instance):
+        inst = toy_instance(capacity=300)
+        with pytest.raises(ValueError, match="capacity"):
+            solve_dp(inst, [100, 301])
+        with pytest.raises(ValueError, match="capacity"):
+            solve_dp(inst, [-5, 100])
 
 
 class TestStructuralProperties:
