@@ -7,6 +7,7 @@ Errors raise ConfigError with the offending key in the message.
 """
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +71,8 @@ def _number(cfg: dict, key: str, default=None):
     value = cfg[key]
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{key}: expected a number")
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ConfigError(f"{key}: number out of range")
     return value
 
 
@@ -279,7 +282,7 @@ def parse_analyze(cfg: dict) -> dict:
         if metric not in known:
             raise ConfigError(f"metrics: unknown metric {metric!r}")
     lags = [float(t) for t in _each(cfg, "lags", _number, [1.0])]
-    if any(t <= 0 for t in lags):
+    if not all(t > 0 for t in lags):
         raise ConfigError("lags: must be positive")
     out = {
         "metrics": metrics,

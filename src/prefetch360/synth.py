@@ -8,8 +8,8 @@ otherwise.
 
 import numpy as np
 
-from .angles import unwrap_deg, wrap_deg
-from .traces import HeadTrace
+from .angles import wrap_deg
+from .traces import HeadTrace, _finite_diff
 
 __all__ = [
     "constant_trace",
@@ -31,10 +31,6 @@ def _assemble(t, yaw, yaw_vel, video_id, user_id, category) -> HeadTrace:
     zeros = np.zeros_like(t)
     return HeadTrace(t, wrap_deg(yaw), zeros, zeros, yaw_vel, zeros, zeros,
                      video_id=video_id, user_id=user_id, category=category)
-
-
-def _diff_velocity(t, yaw) -> np.ndarray:
-    return np.gradient(unwrap_deg(yaw), t)
 
 
 def constant_trace(yaw_deg: float = 0.0, duration_s: float = 60.0, rate_hz: float = 100.0,
@@ -73,7 +69,8 @@ def uniform_random_trace(duration_s: float = 60.0, rate_hz: float = 100.0,
     rng = rng or np.random.default_rng()
     t = _grid(duration_s, rate_hz)
     yaw = rng.uniform(-180.0, 180.0, size=t.size)
-    return _assemble(t, yaw, _diff_velocity(t, yaw), video_id, user_id, "exploration")
+    return _assemble(t, yaw, _finite_diff(t, yaw, circular=True),
+                     video_id, user_id, "exploration")
 
 
 def random_walk_trace(duration_s: float = 60.0, rate_hz: float = 100.0,
@@ -92,7 +89,8 @@ def random_walk_trace(duration_s: float = 60.0, rate_hz: float = 100.0,
     period = 4.0 * bound_deg
     folded = np.mod(yaw + bound_deg, period)
     yaw = np.where(folded <= 2.0 * bound_deg, folded - bound_deg, 3.0 * bound_deg - folded)
-    return _assemble(t, yaw, _diff_velocity(t, yaw), video_id, user_id, "exploration")
+    return _assemble(t, yaw, _finite_diff(t, yaw, circular=True),
+                     video_id, user_id, "exploration")
 
 
 def explore_then_fixate_trace(duration_s: float = 60.0, rate_hz: float = 100.0,
@@ -107,5 +105,5 @@ def explore_then_fixate_trace(duration_s: float = 60.0, rate_hz: float = 100.0,
     yaw = walk.yaw.copy()
     frozen = walk.t - walk.t[0] >= split_s
     yaw[frozen] = yaw[np.argmax(frozen)]
-    return _assemble(walk.t, yaw, _diff_velocity(walk.t, yaw),
+    return _assemble(walk.t, yaw, _finite_diff(walk.t, yaw, circular=True),
                      video_id, user_id, "static_focus")

@@ -52,6 +52,9 @@ TRACE_COLUMNS = ("t_s", "yaw_deg", "pitch_deg", "roll_deg", "yaw_dps", "pitch_dp
 
 _EPS = 1e-9
 
+# Most bins, grid points or lookahead windows one analytic may allocate.
+GRID_LIMIT = 10**7
+
 
 @dataclass(frozen=True, eq=False)
 class HeadTrace:
@@ -224,28 +227,45 @@ def yaw_at(trace: HeadTrace, times) -> np.ndarray:
     return interp_angle_deg(times, trace.t, trace.yaw)
 
 
-def _stride_grid(trace: HeadTrace, lag_s: float, stride_s: float) -> np.ndarray:
-    if not stride_s > 0:
-        raise ValueError("stride must be positive")
-    horizon = trace.duration_s - lag_s
-    if horizon < -_EPS:
-        return np.empty(0)
-    count = int(np.floor(horizon / stride_s + _EPS)) + 1
-    return trace.t[0] + np.arange(max(count, 0)) * stride_s
+def _divisions(span: float, width: float, name: str) -> int:
+    """How many bins of ``width`` tile ``span`` exactly, from 1 to GRID_LIMIT."""
+    count = span / width if width > 0 else 0.0
+    if not (1 <= count <= GRID_LIMIT and abs(count - round(count)) <= _EPS):
+        raise ValueError(f"{name} width must divide {span:.0f} evenly "
+                         f"into at most {GRID_LIMIT} bins")
+    return int(round(count))
 
 
-def _windows(trace: HeadTrace, lag_s: float, stride_s: float):
-    """Lookahead windows on the stride grid: (starts, origin_yaw, change).
+def _windows(traces, lag_s: float, stride_s: float):
+    """Lookahead windows pooled over a cohort: (elapsed, origin_yaw, change, yaw_vel).
 
-    ``origin_yaw`` is the yaw at each start time and ``change`` the signed
-    circular yaw change over the following lag_s, both as ``yaw_at`` reads
-    them, from a single unwrap of the yaw track.
+    Start times step every stride_s from each trace's first sample while the
+    whole lag_s window fits.  ``elapsed`` is the start time since that first
+    sample, ``origin_yaw`` the yaw there and ``change`` the signed circular
+    yaw change over the following lag_s, both as ``yaw_at`` reads them from
+    one unwrap per trace; ``yaw_vel`` is the yaw velocity at the start.  The
+    lag must be nonnegative and shorter than every trace, and the window
+    count is checked against GRID_LIMIT before anything is allocated.
     """
-    starts = _stride_grid(trace, lag_s, stride_s)
-    lifted = unwrap_deg(trace.yaw)
-    origin = wrap_deg(np.interp(starts, trace.t, lifted))
-    change = circ_diff_deg(wrap_deg(np.interp(starts + lag_s, trace.t, lifted)), origin)
-    return starts, origin, change
+    traces = _require_traces(traces)
+    if not 0 < stride_s < np.inf:
+        raise ValueError("stride must be positive and finite")
+    if not lag_s >= 0:
+        raise ValueError("lag must be nonnegative")
+    if not lag_s < min(tr.duration_s for tr in traces):
+        raise ValueError("lag must be shorter than every trace")
+    counts = [np.floor((tr.duration_s - lag_s) / stride_s + _EPS) + 1 for tr in traces]
+    if sum(counts) > GRID_LIMIT:
+        raise ValueError(f"stride {stride_s:g} s gives {sum(counts):.3g} windows, "
+                         f"more than {GRID_LIMIT}")
+    parts = []
+    for tr, count in zip(traces, counts):
+        starts = tr.t[0] + np.arange(int(count)) * stride_s
+        lifted = unwrap_deg(tr.yaw)
+        origin = wrap_deg(np.interp(starts, tr.t, lifted))
+        change = circ_diff_deg(wrap_deg(np.interp(starts + lag_s, tr.t, lifted)), origin)
+        parts.append((starts - tr.t[0], origin, change, np.interp(starts, tr.t, tr.yaw_vel)))
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def yaw_changes(trace: HeadTrace, lag_s: float, stride_s: float = 0.1) -> np.ndarray:
@@ -254,9 +274,9 @@ def yaw_changes(trace: HeadTrace, lag_s: float, stride_s: float = 0.1) -> np.nda
     Samples start times every stride_s from the beginning of the trace, as
     long as the whole lookahead window fits.  Results lie in [-180, 180).
     """
-    if not (np.isfinite(lag_s) and lag_s > 0):
-        raise ValueError("lag must be positive and finite")
-    return _windows(trace, lag_s, stride_s)[2]
+    if not lag_s > 0:
+        raise ValueError("lag must be positive")
+    return _windows([trace], lag_s, stride_s)[2]
 
 
 def _require_traces(traces) -> list:
@@ -264,14 +284,6 @@ def _require_traces(traces) -> list:
     if not traces:
         raise ValueError("need at least one trace")
     return traces
-
-
-def _pooled_changes(traces, lag_s: float, stride_s: float) -> np.ndarray:
-    traces = _require_traces(traces)
-    shortest = min(tr.duration_s for tr in traces)
-    if not lag_s < shortest:
-        raise ValueError("lag must be shorter than every trace")
-    return np.concatenate([yaw_changes(tr, lag_s, stride_s) for tr in traces])
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,14 +362,16 @@ def angle_utilization_cdf(traces, axis: str = "yaw") -> Cdf:
 def heatmap(traces, yaw_bin_deg: float = 10.0, pitch_bin_deg: float = 10.0) -> Heatmap:
     """Yaw/pitch occupancy frequencies on a regular grid.
 
-    Bin widths must divide 360 (yaw) and 180 (pitch) evenly.
+    Bin widths must divide 360 (yaw) and 180 (pitch) evenly, into at most
+    GRID_LIMIT cells.
     """
     traces = _require_traces(traces)
-    for span, width, name in ((360.0, yaw_bin_deg, "yaw"), (180.0, pitch_bin_deg, "pitch")):
-        if not width > 0 or abs(span / width - round(span / width)) > _EPS:
-            raise ValueError(f"{name} bin width must divide {span:.0f} evenly")
-    yaw_edges = np.linspace(-180.0, 180.0, int(round(360.0 / yaw_bin_deg)) + 1)
-    pitch_edges = np.linspace(-90.0, 90.0, int(round(180.0 / pitch_bin_deg)) + 1)
+    n_yaw = _divisions(360.0, yaw_bin_deg, "yaw bin")
+    n_pitch = _divisions(180.0, pitch_bin_deg, "pitch bin")
+    if n_yaw * n_pitch > GRID_LIMIT:
+        raise ValueError(f"a {n_yaw} x {n_pitch} heatmap has more than {GRID_LIMIT} cells")
+    yaw_edges = np.linspace(-180.0, 180.0, n_yaw + 1)
+    pitch_edges = np.linspace(-90.0, 90.0, n_pitch + 1)
     yaw_all = np.concatenate([tr.yaw for tr in traces])
     pitch_all = np.concatenate([tr.pitch for tr in traces])
     counts, _, _ = np.histogram2d(yaw_all, pitch_all, bins=(yaw_edges, pitch_edges))
@@ -370,7 +384,8 @@ def pairwise_angular_difference(traces, time_step_s: float = 0.1):
     For each video the trace pairs are compared at a shared time grid; the
     per-video means are then averaged.  Returns (times, mean_distance_deg),
     with the grid limited by the shortest trace.  Every video needs at least
-    two traces.
+    two traces, and one video's pairs times the grid points may not exceed
+    GRID_LIMIT.
     """
     traces = _require_traces(traces)
     if not time_step_s > 0:
@@ -382,6 +397,10 @@ def pairwise_angular_difference(traces, time_step_s: float = 0.1):
         if len(group) < 2:
             raise ValueError(f"video {video!r} has fewer than two traces")
     horizon = min(tr.duration_s for tr in traces)
+    pairs = max(len(group) * (len(group) - 1) // 2 for group in groups.values())
+    if (horizon / time_step_s + 1) * pairs > GRID_LIMIT:
+        raise ValueError(f"time step {time_step_s:g} s needs more than {GRID_LIMIT} "
+                         "pair distances for one video")
     times = np.arange(0.0, horizon + _EPS, time_step_s)
     per_video = []
     for group in groups.values():
@@ -394,7 +413,7 @@ def pairwise_angular_difference(traces, time_step_s: float = 0.1):
 
 def yaw_change_cdf(traces, lag_s: float, stride_s: float = 0.1) -> Cdf:
     """CDF of signed circular yaw changes over a lookahead of lag_s."""
-    return Cdf(_pooled_changes(traces, lag_s, stride_s))
+    return Cdf(_windows(traces, lag_s, stride_s)[2])
 
 
 def velocity_prediction_error(traces, lag_s: float, vel_threshold_dps: float,
@@ -405,22 +424,13 @@ def velocity_prediction_error(traces, lag_s: float, vel_threshold_dps: float,
     fraction where the yaw change over lag_s runs opposite to the velocity by
     more than safety_angle_deg.  Raises if no sample qualifies.
     """
-    traces = _require_traces(traces)
-    if vel_threshold_dps < 0 or safety_angle_deg < 0:
+    if not (vel_threshold_dps >= 0 and safety_angle_deg >= 0):
         raise ValueError("threshold and safety angle must be nonnegative")
-    qualifying = 0
-    errors = 0
-    for tr in traces:
-        starts, _, changes = _windows(tr, lag_s, stride_s)
-        vel = np.interp(starts, tr.t, tr.yaw_vel)
-        mask = np.abs(vel) > vel_threshold_dps
-        if not np.any(mask):
-            continue
-        qualifying += int(mask.sum())
-        errors += int(np.sum(changes[mask] * np.sign(vel[mask]) < -safety_angle_deg))
-    if qualifying == 0:
+    _, _, change, vel = _windows(traces, lag_s, stride_s)
+    mask = np.abs(vel) > vel_threshold_dps
+    if not mask.any():
         raise ValueError("no samples exceed the velocity threshold")
-    return errors / qualifying
+    return int(np.sum(change[mask] * np.sign(vel[mask]) < -safety_angle_deg)) / int(mask.sum())
 
 
 def origin_conditioned_change(traces, lag_s: float, sector_deg: float = 60.0,
@@ -431,17 +441,10 @@ def origin_conditioned_change(traces, lag_s: float, sector_deg: float = 60.0,
     0 line; sector_deg must divide 360 evenly.  Sectors that never occur are
     absent from the result.
     """
-    traces = _require_traces(traces)
-    if not sector_deg > 0 or abs(360.0 / sector_deg - round(360.0 / sector_deg)) > _EPS:
-        raise ValueError("sector width must divide 360 evenly")
-    n_sectors = int(round(360.0 / sector_deg))
-    buckets: dict[int, list] = {}
-    for tr in traces:
-        _, origin, changes = _windows(tr, lag_s, stride_s)
-        sectors = np.minimum((np.mod(origin, 360.0) // sector_deg).astype(int), n_sectors - 1)
-        for s in np.unique(sectors):
-            buckets.setdefault(int(s), []).append(changes[sectors == s])
-    return {s: Cdf(np.concatenate(parts)) for s, parts in sorted(buckets.items())}
+    n_sectors = _divisions(360.0, sector_deg, "sector")
+    _, origin, change, _ = _windows(traces, lag_s, stride_s)
+    sectors = np.minimum((np.mod(origin, 360.0) // sector_deg).astype(int), n_sectors - 1)
+    return {int(s): Cdf(change[sectors == s]) for s in np.unique(sectors)}
 
 
 def phase_split_cdf(traces, lag_s: float, split_s: float = 20.0, stride_s: float = 0.1):
@@ -456,15 +459,8 @@ def phase_split_cdf(traces, lag_s: float, split_s: float = 20.0, stride_s: float
         raise ValueError("split time must be positive")
     if min(tr.duration_s for tr in traces) <= split_s:
         raise ValueError("every trace must be longer than the split time")
-    early = []
-    late = []
-    for tr in traces:
-        starts, _, changes = _windows(tr, lag_s, stride_s)
-        mask = (starts - tr.t[0]) < split_s
-        early.append(changes[mask])
-        late.append(changes[~mask])
-    early = np.concatenate(early)
-    late = np.concatenate(late)
-    if early.size == 0 or late.size == 0:
+    elapsed, _, change, _ = _windows(traces, lag_s, stride_s)
+    early = elapsed < split_s
+    if early.all() or not early.any():
         raise ValueError("need samples in both phases; lower the lag or lengthen traces")
-    return Cdf(early), Cdf(late)
+    return Cdf(change[early]), Cdf(change[~early])

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .model import DirectionGrid, _as_prob_array
-from .traces import _windows, yaw_changes
+from .traces import _divisions, _windows
 
 __all__ = [
     "PROB_SOURCES",
@@ -178,20 +178,13 @@ def empirical_yaw_change(traces, lag_s: float, stride_s: float = 0.1,
     relative to each trace's starting direction, which summarizes where
     viewers spend time regardless of lag.
     """
-    traces = list(traces)
-    if not traces:
-        raise ValueError("need at least one trace")
-    if not bin_width_deg > 0 or abs(360.0 / bin_width_deg - round(360.0 / bin_width_deg)) > _EPS:
-        raise ValueError("bin width must divide 360 evenly")
+    n_bins = _divisions(360.0, bin_width_deg, "bin")
     if np.isinf(lag_s):
-        samples = np.concatenate([_windows(tr, 0.0, stride_s)[1] for tr in traces])
+        samples = _windows(traces, 0.0, stride_s)[1]
+    elif lag_s > 0:
+        samples = _windows(traces, lag_s, stride_s)[2]
     else:
-        if not lag_s > 0:
-            raise ValueError("lag must be positive")
-        if not lag_s < min(tr.duration_s for tr in traces):
-            raise ValueError("lag must be shorter than every trace")
-        samples = np.concatenate([yaw_changes(tr, lag_s, stride_s) for tr in traces])
-    n_bins = int(round(360.0 / bin_width_deg))
+        raise ValueError("lag must be positive")
     edges = np.linspace(-180.0, 180.0, n_bins + 1)
     counts, _ = np.histogram(samples, bins=edges)
     return AngularDensity(edges, counts / counts.sum(), lag_s)

@@ -9,6 +9,7 @@ from prefetch360 import (
     QualityLadder,
     UtilityModel,
 )
+from prefetch360.cli import _random_instance
 
 # Three tiles, two levels, linear utility: small enough to verify by hand.
 # With f = 1 the level utilities are (-1, 0.5, 1.0) and sizes (0, 100, 200).
@@ -44,18 +45,11 @@ def grid6():
 
 
 def random_instance(rng, max_tiles=5, max_levels=3, max_capacity=900):
-    """A small random instance whose assignment space brute force can cover."""
-    n_tiles = int(rng.integers(2, max_tiles + 1))
-    n_levels = int(rng.integers(1, max_levels + 1))
-    rates = np.sort(rng.choice(np.arange(50, 2000), size=n_levels, replace=False)).astype(float)
-    ladder = QualityLadder(tuple(rates), stall_penalty=float(rng.choice([0.0, 0.1, 1.0, 10.0])))
-    kind = str(rng.choice(["linear", "sqrt", "log", "large_screen"]))
-    # theta below the lowest rate keeps large_screen utilities positive
-    utility = UtilityModel(kind, theta_kbps=40.0) if kind == "large_screen" else UtilityModel(kind)
-    p = rng.dirichlet(np.ones(n_tiles))
-    beta = 0.0 if rng.random() < 0.5 else float(np.round(rng.uniform(0.0, 1.0), 3))
-    capacity = int(rng.integers(0, max_capacity + 1))
-    return Instance(DirectionGrid(n_tiles), ladder, utility, p / p.sum(), capacity, beta)
+    """A small random instance whose assignment space brute force can cover.
+
+    The same generator as ``oracle`` batches, with a larger capacity range.
+    """
+    return _random_instance(rng, max_tiles, max_levels, max_capacity)
 
 
 def dyadic_instance(rng, max_tiles=4, max_levels=2):

@@ -1,10 +1,15 @@
 """End-to-end command tests driven through cli.main()."""
 
+import contextlib
 import csv
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prefetch360 import (
     DirectionGrid,
@@ -106,10 +111,12 @@ class TestExitCodes:
         ("schedule", {"rates": [100, 200], "N": 3,
                       "passes": [{"lead_s": 5, "budget": 10, "probs": 5}]}, "probs"),
         ("analyze", {"lags": [None]}, "lags"),
+        ("analyze", {"lags": [math.nan]}, "lags"),
         ("oracle", {"batch": {"count": True}}, "batch.count"),
     ], ids=["sweep-capacity-null", "sweep-N-null", "sweep-lag-null", "sweep-sigma0-null",
             "sweep-capacity-fraction", "sweep-capacity-negative", "sweep-beta-bool",
-            "solve-rate-null", "schedule-probs-number", "analyze-lag-null", "oracle-count-bool"])
+            "solve-rate-null", "schedule-probs-number", "analyze-lag-null", "analyze-lag-nan",
+            "oracle-count-bool"])
     def test_malformed_config_names_the_key(self, tmp_path, capsys, command, config, key):
         cfg = write_config(tmp_path, config)
         assert main([command, "--config", cfg]) == 1
@@ -344,3 +351,74 @@ class TestAnalyze:
         cfg = write_config(tmp_path, {"metrics": ["utilization"]})
         assert main(["analyze", "--config", cfg]) == 1
         assert "--traces" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def small_cohort(tmp_path_factory):
+    """Two kinds x two traces, 30 s at 10 Hz."""
+    root = tmp_path_factory.mktemp("cohort")
+    gen = root / "gen.json"
+    gen.write_text(json.dumps({"kinds": ["rotation", "walk"], "count_per_kind": 2,
+                               "duration_s": 30, "rate_hz": 10}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen-traces", "--config", str(gen), "--out", str(root / "traces")]) == 0
+    return root / "traces"
+
+
+class TestAnalyzeLimits:
+    # warnings become errors, so a numpy warning (a second stderr line) fails the case
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command, config, message", [
+        ("analyze", {"metrics": ["origin_sectors"], "lags": [100]}, "lag must be shorter"),
+        ("analyze", {"metrics": ["velocity_error"], "lags": [100]}, "lag must be shorter"),
+        ("analyze", {"metrics": ["phase_split"], "lags": [100]}, "lag must be shorter"),
+        ("analyze", {"metrics": ["yaw_change"], "stride_s": 1e-12}, "windows, more than"),
+        ("analyze", {"metrics": ["yaw_change"], "stride_s": math.inf}, "stride must be positive"),
+        ("analyze", {"metrics": ["heatmap"], "yaw_bin_deg": 1e-9}, "divide 360"),
+        ("analyze", {"metrics": ["heatmap"], "yaw_bin_deg": 0.001, "pitch_bin_deg": 0.01},
+         "cells"),
+        ("analyze", {"metrics": ["origin_sectors"], "sector_deg": 1e-300}, "divide 360"),
+        ("analyze", {"metrics": ["origin_sectors"], "sector_deg": math.inf}, "divide 360"),
+        ("analyze", {"metrics": ["pairwise"], "pairwise_step_s": 1e-12}, "pair distances"),
+        ("analyze", {"metrics": ["yaw_change"], "stride_s": 10**400}, "stride_s"),
+        ("solve", {**TOY_SOLVE, "probs": {"family": "empirical", "lag_s": 1.0, "stride_s": 1e-12}},
+         "windows, more than"),
+    ], ids=["origin-sectors-long-lag", "velocity-error-long-lag", "phase-split-long-lag",
+            "stride-tiny", "stride-inf", "yaw-bin-tiny", "heatmap-too-many-cells",
+            "sector-tiny", "sector-inf", "pairwise-step-tiny", "stride-huge-int",
+            "solve-empirical-stride-tiny"])
+    def test_out_of_range_knobs_exit_1(self, tmp_path, capsys, small_cohort, command, config,
+                                       message):
+        cfg = write_config(tmp_path, config)
+        assert main([command, "--config", cfg, "--traces", str(small_cohort)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0]
+
+    ODD = (0, -1, -0.5, 1e-12, 1e-300, 1e300, 10**400, math.inf, -math.inf, math.nan,
+           "1", None, True, False, [], [1.0], 0.5, 1, 2.5, 45)
+    NUMERIC_KEYS = ("stride_s", "vel_threshold_dps", "safety_angle_deg", "sector_deg", "split_s",
+                    "yaw_bin_deg", "pitch_bin_deg", "pairwise_step_s")
+    METRICS = ("utilization", "heatmap", "pairwise", "yaw_change", "velocity_error",
+               "origin_sectors", "phase_split")
+
+    @pytest.mark.filterwarnings("error")
+    @settings(deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_fuzzed_config_exits_0_or_1_with_one_error_line(self, small_cohort, data):
+        # one or two odd keys per config, so most draws get past parsing to the analytics
+        odd = st.sampled_from(self.ODD)
+        config = {"metrics": data.draw(st.lists(st.sampled_from(self.METRICS), min_size=1,
+                                                max_size=3, unique=True))}
+        for key in data.draw(st.lists(st.sampled_from(("lags",) + self.NUMERIC_KEYS), min_size=1,
+                                      max_size=2, unique=True)):
+            config[key] = data.draw(odd | st.lists(odd, max_size=3) if key == "lags" else odd)
+        path = small_cohort.parent / "fuzz.json"
+        path.write_text(json.dumps(config))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["analyze", "--config", str(path), "--traces", str(small_cohort)])
+        lines = err.getvalue().splitlines()
+        if code == 0:
+            assert lines == [] and out.getvalue().startswith("metric,group,stat,value\n")
+        else:
+            assert code == 1 and len(lines) == 1 and lines[0].startswith("error:"), (code, lines)

@@ -288,6 +288,8 @@ class TestVelocityPrediction:
         spin = linear_rotation_trace(duration_s=5.0, rate_hz=10.0)
         with pytest.raises(ValueError, match="nonnegative"):
             velocity_prediction_error([spin], 1.0, vel_threshold_dps=-1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            velocity_prediction_error([spin], 1.0, 5.0, safety_angle_deg=np.nan)
 
 
 class TestConditionedAndPhased:
