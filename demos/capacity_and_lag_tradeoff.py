@@ -32,7 +32,7 @@ def levels_str(selection):
 
 def capacity_sweep():
     print("== capacity sweep, 20 s lead time, sigma = 25 * sqrt(T) ==")
-    probs = wrapped_gaussian(25.0 * np.sqrt(20.0), GRID, 20.0)
+    probs = wrapped_gaussian(25.0 * np.sqrt(20.0), GRID)
     print(f"tile probabilities: {np.array2string(probs.probs, precision=3)}")
     print(f"{'capacity':>9}  {'levels':<12} {'value':>8}  gain")
     capacities = (1250, 2500, 5000, 10000, 20000)
@@ -52,8 +52,8 @@ def lag_sweep():
     for lag in (1.0, 2.0, 5.0, 10.0, 20.0, 40.0):
         sigma = 25.0 * np.sqrt(lag)
         predicted = solve_dp(Instance(GRID, LADDER, UTILITY,
-                                      wrapped_gaussian(sigma, GRID, lag), 5000, beta=0.0))
-        flat = solve_dp(Instance(GRID, LADDER, UTILITY, uniform(GRID, lag), 5000, beta=0.0))
+                                      wrapped_gaussian(sigma, GRID), 5000, beta=0.0))
+        flat = solve_dp(Instance(GRID, LADDER, UTILITY, uniform(GRID), 5000, beta=0.0))
         print(f"{lag:>6.1f}  {sigma:>6.1f}  {predicted.value:>9.4f}  {flat.value:>8.4f}")
     print("prediction quality decays with lead time; without prediction there is "
           "nothing to decay")

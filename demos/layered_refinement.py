@@ -35,7 +35,7 @@ PASSES = ((20.0, 2000, 25.0 * np.sqrt(20.0)),
 
 def build_plan():
     return PrefetchPlan(tuple(
-        PrefetchPass(lead, budget, wrapped_gaussian(sigma, GRID, lead))
+        PrefetchPass(lead, budget, wrapped_gaussian(sigma, GRID))
         for lead, budget, sigma in PASSES))
 
 
@@ -60,7 +60,7 @@ def main():
     print()
 
     total = sum(budget for _, budget, _ in PASSES)
-    final_probs = wrapped_gaussian(PASSES[-1][2], GRID, PASSES[-1][0])
+    final_probs = wrapped_gaussian(PASSES[-1][2], GRID)
     oneshot = solve_dp(Instance(GRID, LADDER, UTILITY, final_probs, total, beta=0.0))
     print(f"one shot of {total} units under the final (sharpest) probabilities: "
           f"{oneshot.value:.4f}")

@@ -71,7 +71,7 @@ def data_driven_solve(traces):
         density = empirical_yaw_change(traces, lag)
         probs = discretize(density, GRID)
         informed = solve_dp(Instance(GRID, LADDER, utility, probs, 5000, beta=0.1))
-        fallback = solve_dp(Instance(GRID, LADDER, utility, uniform(GRID, lag), 5000, beta=0.1))
+        fallback = solve_dp(Instance(GRID, LADDER, utility, uniform(GRID), 5000, beta=0.1))
         print(f"{lag:>6.1f}  {informed.value:>9.4f}  {fallback.value:>8.4f}")
     print("measured motion concentrates mass near the current direction, so the "
           "optimizer buys quality where the head will actually be")

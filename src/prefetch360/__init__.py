@@ -19,12 +19,10 @@ from .model import (
     selection_size,
 )
 from .optimizer import (
-    DpTable,
     SolveReport,
     SolveStats,
     brute_force,
     solve_dp,
-    solve_dp_full,
     solve_mckp,
 )
 from .scheduler import (
@@ -82,7 +80,6 @@ __all__ = [
     "CATEGORIES",
     "Cdf",
     "DirectionGrid",
-    "DpTable",
     "HeadTrace",
     "Heatmap",
     "Instance",
@@ -123,7 +120,6 @@ __all__ = [
     "selection_size",
     "sinusoid_trace",
     "solve_dp",
-    "solve_dp_full",
     "solve_mckp",
     "uniform",
     "uniform_random_trace",

@@ -366,3 +366,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entrypoint()

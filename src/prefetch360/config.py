@@ -148,27 +148,30 @@ def build_probs(spec: dict, grid: DirectionGrid, traces_dir=None) -> ProbVector:
         raise ConfigError("probs: expected an object")
     family = spec.get("family")
     lag = _number(spec, "lag_s", 0.0)
+    # inf is the lifetime distribution of the empirical family
+    if not lag >= 0:
+        raise ConfigError("probs.lag_s: must be nonnegative")
     if family == "uniform":
-        return uniform(grid, lag)
+        return uniform(grid)
     if family == "point_mass":
-        return point_mass(_number(spec, "angle_deg", 0.0), grid, lag)
+        return point_mass(_number(spec, "angle_deg", 0.0), grid)
     if family == "wrapped_gaussian":
-        return wrapped_gaussian(_number(spec, "sigma_deg"), grid, lag)
+        return wrapped_gaussian(_number(spec, "sigma_deg"), grid)
     if family == "wrapped_gaussian_sqrt":
         sigma0 = _number(spec, "sigma0_deg", 25.0)
         if lag <= 0:
             raise ConfigError("probs: wrapped_gaussian_sqrt needs lag_s > 0")
-        return wrapped_gaussian(sigma0 * np.sqrt(lag), grid, lag)
+        return wrapped_gaussian(sigma0 * np.sqrt(lag), grid)
     if family == "explicit":
         values = _require(spec, "values")
         if not isinstance(values, list):
             raise ConfigError("probs.values: expected a list")
         try:
-            return ProbVector(np.asarray(values, dtype=float), lag)
+            return ProbVector(np.asarray(values, dtype=float))
         except ValueError as exc:
             raise ConfigError(f"probs: {exc}") from None
     if family == "convolved":
-        base = wrapped_gaussian(_number(spec, "base_sigma_deg", 15.0), grid, lag)
+        base = wrapped_gaussian(_number(spec, "base_sigma_deg", 15.0), grid)
         kernel = wrapped_gaussian(_number(spec, "kernel_sigma_deg", 15.0), grid).probs
         steps = _int(spec, "steps", 1)
         if steps < 0:
@@ -178,7 +181,7 @@ def build_probs(spec: dict, grid: DirectionGrid, traces_dir=None) -> ProbVector:
             out = circular_smooth(out, kernel)
         return out
     if family == "empirical":
-        if lag <= 0 and not np.isinf(lag):
+        if lag <= 0:
             raise ConfigError("probs: empirical family needs lag_s > 0")
         traces = load_traces(traces_dir, spec.get("category"))
         density = empirical_yaw_change(traces, lag, _number(spec, "stride_s", 0.1))
@@ -251,7 +254,7 @@ def parse_sweep(cfg: dict) -> dict:
     }
     if not isinstance(out["family"], dict) or "kind" not in out["family"]:
         raise ConfigError("family: expected an object with a 'kind'")
-    if any(t <= 0 for t in out["lags"]):
+    if not all(t > 0 for t in out["lags"]):
         raise ConfigError("lags: must be positive")
     if any(b <= a for a, b in zip(out["lags"], out["lags"][1:])):
         raise ConfigError("lags: must be strictly increasing")

@@ -40,6 +40,9 @@ UTILITY_KINDS = ("linear", "sqrt", "log", "large_screen")
 
 PROB_SUM_TOL = 1e-9
 
+# one tile per degree, the resolution of the empirical yaw-change density
+MAX_TILES = 360
+
 
 @dataclass(frozen=True)
 class QualityLadder:
@@ -68,8 +71,11 @@ class QualityLadder:
             raise ValueError("ladder rates must be strictly increasing")
         if not self.chunk_s > 0:
             raise ValueError("chunk duration must be positive")
-        if self.stall_penalty < 0:
-            raise ValueError("stall penalty must be nonnegative")
+        # exact in float64, and MAX_TILES of them still add up inside int64
+        if not arr[-1] * self.chunk_s < 2.0**53:
+            raise ValueError("chunk duration times the top rate must stay below 2^53 units")
+        if not 0 <= self.stall_penalty < np.inf:
+            raise ValueError("stall penalty must be finite and nonnegative")
 
     @property
     def n_levels(self) -> int:
@@ -146,14 +152,14 @@ class DirectionGrid:
     Tile ``n`` covers ``[n*w, (n+1)*w)`` with ``w = 360 / n_tiles``, wrapped
     into [-180, 180).  Angles are relative to the slot's 0 line, so tile 0
     starts at the current viewing direction; for even ``n_tiles`` the edges
-    coincide with ``-180 + k*w``.
+    coincide with ``-180 + k*w``.  ``n_tiles`` runs from 2 to MAX_TILES.
     """
 
     n_tiles: int
 
     def __post_init__(self):
-        if not (isinstance(self.n_tiles, (int, np.integer)) and self.n_tiles >= 2):
-            raise ValueError("need an integer tile count of at least 2")
+        if not (isinstance(self.n_tiles, (int, np.integer)) and 2 <= self.n_tiles <= MAX_TILES):
+            raise ValueError(f"need an integer tile count of at least 2 and at most {MAX_TILES}")
         object.__setattr__(self, "n_tiles", int(self.n_tiles))
 
     @property

@@ -32,16 +32,12 @@ from .model import Instance, Selection, _as_nonneg_ints
 __all__ = [
     "SolveStats",
     "SolveReport",
-    "DpTable",
     "solve_dp",
-    "solve_dp_full",
     "brute_force",
     "solve_mckp",
 ]
 
 BRUTE_FORCE_LIMIT = 10_000_000
-
-FULL_TABLE_LIMIT = 50_000_000
 
 # bytes of int16 argmax table; admits N=24, six levels, C=400k (0.94 GB)
 PARENTS_TABLE_LIMIT = 1 << 30
@@ -68,19 +64,6 @@ class SolveReport:
     selections: tuple[Selection, ...] = ()
 
 
-@dataclass(frozen=True, eq=False)
-class DpTable:
-    """Full DP state, indexed [l0, l, n, c].
-
-    ``values`` holds DP(l0, l, n, c) with -inf for unreachable states;
-    ``parents`` holds the maximizing level of tile n (-1 at n = 0, where
-    the level is pinned).
-    """
-
-    values: np.ndarray
-    parents: np.ndarray
-
-
 def _weights(inst: Instance):
     p = inst.probs
     expect_w = (1.0 - inst.beta) * p
@@ -88,7 +71,7 @@ def _weights(inst: Instance):
     return expect_w, edge_w
 
 
-def _dp_run(inst: Instance, keep_values: bool, columns):
+def _dp_run(inst: Instance, columns):
     grid_n = inst.grid.n_tiles
     utility = inst.utility_table
     sizes = inst.size_table
@@ -100,7 +83,6 @@ def _dp_run(inst: Instance, keep_values: bool, columns):
     if table_bytes > PARENTS_TABLE_LIMIT:
         raise ValueError(f"DP parents table needs {table_bytes} bytes, over {PARENTS_TABLE_LIMIT}")
     parents = np.full((n_levels, n_levels, grid_n, cap + 1), -1, dtype=np.int16)
-    values = np.full((n_levels, n_levels, grid_n, cap + 1), -np.inf) if keep_values else None
 
     # final[l0, k]: best ring value with tile 0 at l0 within budget columns[k]
     final = np.empty((n_levels, len(columns)))
@@ -108,8 +90,6 @@ def _dp_run(inst: Instance, keep_values: bool, columns):
         base = expect_w[0] * utility[0, l0] - edge_w[0] * np.abs(utility[0, l0] - utility[1 % grid_n, :])
         feasible = np.arange(cap + 1) >= sizes[0, l0]
         layer = np.where(feasible[None, :], base[:, None], -np.inf)
-        if keep_values:
-            values[l0, :, 0, :] = layer
         for n in range(1, grid_n):
             gains = (expect_w[n] * utility[n, :][:, None]
                      - edge_w[n] * np.abs(utility[n, :][:, None] - utility[(n + 1) % grid_n, :][None, :]))
@@ -125,8 +105,6 @@ def _dp_run(inst: Instance, keep_values: bool, columns):
                 parents[l0, l, n, :] = arg
                 nxt_layer[l, :] = np.take_along_axis(cand, arg[None, :], axis=0)[0]
             layer = nxt_layer
-            if keep_values:
-                values[l0, :, n, :] = layer
         final[l0] = layer[l0, columns]
 
     selections = []
@@ -140,7 +118,7 @@ def _dp_run(inst: Instance, keep_values: bool, columns):
             levels[n] = l
             c -= int(sizes[n, l])
         selections.append(Selection(tuple(levels), float(final[best_l0, k])))
-    return selections, values, parents
+    return selections
 
 
 def solve_dp(inst: Instance, capacities=None) -> SolveReport:
@@ -153,28 +131,11 @@ def solve_dp(inst: Instance, capacities=None) -> SolveReport:
     caps = _as_nonneg_ints([] if capacities is None else capacities, "capacity", ndim=1)
     if np.any(caps > inst.capacity):
         raise ValueError(f"capacity must not exceed the instance capacity {inst.capacity}")
-    (top, *rest), _, _ = _dp_run(inst, keep_values=False, columns=[inst.capacity, *caps])
+    top, *rest = _dp_run(inst, [inst.capacity, *caps])
     elapsed = time.perf_counter() - start
     width = inst.ladder.n_levels + 1
     count = width * width * inst.grid.n_tiles * (inst.capacity + 1)
     return SolveReport(top, top.value, "dp", SolveStats(count, elapsed), tuple(rest))
-
-
-def solve_dp_full(inst: Instance):
-    """Like solve_dp but also returns the full DP table for inspection.
-
-    Only sensible for small instances; the table has
-    (L+1)^2 * N * (C+1) float entries.
-    """
-    width = inst.ladder.n_levels + 1
-    count = width * width * inst.grid.n_tiles * (inst.capacity + 1)
-    if count > FULL_TABLE_LIMIT:
-        raise ValueError("full DP table would be too large; use solve_dp")
-    start = time.perf_counter()
-    (selection,), values, parents = _dp_run(inst, keep_values=True, columns=[inst.capacity])
-    elapsed = time.perf_counter() - start
-    report = SolveReport(selection, selection.value, "dp", SolveStats(count, elapsed))
-    return report, DpTable(values, parents)
 
 
 def _tie_key(levels_row: np.ndarray) -> tuple:
@@ -182,12 +143,12 @@ def _tie_key(levels_row: np.ndarray) -> tuple:
     return (int(levels_row[0]), *(int(x) for x in levels_row[:0:-1]))
 
 
-def brute_force(inst: Instance, limit: int = BRUTE_FORCE_LIMIT) -> SolveReport:
+def brute_force(inst: Instance) -> SolveReport:
     """Exhaustive reference solver.
 
-    Enumerates all (L+1)^N assignments (refusing above ``limit``), keeps the
-    feasible maximum, and breaks exact value ties with the same selection
-    order as the DP.
+    Enumerates all (L+1)^N assignments (refusing above BRUTE_FORCE_LIMIT),
+    keeps the feasible maximum, and breaks exact value ties with the same
+    selection order as the DP.
     """
     start = time.perf_counter()
     grid_n = inst.grid.n_tiles
@@ -195,8 +156,8 @@ def brute_force(inst: Instance, limit: int = BRUTE_FORCE_LIMIT) -> SolveReport:
     sizes = inst.size_table
     n_levels = utility.shape[1]
     total = n_levels ** grid_n
-    if total > limit:
-        raise ValueError(f"{total} assignments exceed the brute-force limit {limit}")
+    if total > BRUTE_FORCE_LIMIT:
+        raise ValueError(f"{total} assignments exceed the brute-force limit {BRUTE_FORCE_LIMIT}")
     p = inst.probs
     edge_unit = 0.5 * (p + np.roll(p, -1))
     shape = (n_levels,) * grid_n

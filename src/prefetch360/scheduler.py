@@ -149,19 +149,16 @@ class PassResult:
 
 
 def run_plan(plan: PrefetchPlan, ladder: QualityLadder, utility: UtilityModel,
-             beta: float = 0.0, size_model: SizeModel = SizeModel(),
-             initial: TileState | None = None) -> list[PassResult]:
+             beta: float = 0.0, size_model: SizeModel = SizeModel()) -> list[PassResult]:
     """Execute all passes in lead-time order and track the state trajectory.
 
     Each result reports the merged state's objective under that pass's
     probability vector; the last entry is the value that matters, the final
     state under the final (sharpest) probs.
     """
-    state = initial
+    state = TileState.empty(_as_prob_array(plan.passes[0].probs).size)
     results = []
     for i, booking in enumerate(plan.passes):
-        if state is None:
-            state = TileState.empty(_as_prob_array(booking.probs).size)
         state, report = refine(state, booking.probs, booking.budget, size_model,
                                ladder, utility, beta)
         grid = DirectionGrid(state.levels.size)

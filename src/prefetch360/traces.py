@@ -112,13 +112,13 @@ def _finite_diff(t: np.ndarray, signal: np.ndarray, circular: bool) -> np.ndarra
     return np.gradient(values, t)
 
 
-def parse_trace(csv_path, sidecar_path=None, rebase: bool = True) -> HeadTrace:
-    """Load a trace from CSV plus optional JSON sidecar.
+def parse_trace(csv_path) -> HeadTrace:
+    """Load a trace from CSV plus the optional JSON sidecar next to it.
 
     Velocity columns may be omitted; missing ones are reconstructed by
-    central finite differences (circular-unwrapped for yaw and roll).  By
-    default the yaw track is rebased so playback starts at 0 degrees, which
-    is the convention every analytic here assumes.
+    central finite differences (circular-unwrapped for yaw and roll).  The
+    yaw track is rebased so playback starts at 0 degrees, which is the
+    convention every analytic here assumes.
     """
     csv_path = Path(csv_path)
     with open(csv_path, newline="") as fh:
@@ -163,7 +163,7 @@ def parse_trace(csv_path, sidecar_path=None, rebase: bool = True) -> HeadTrace:
         roll_vel = _finite_diff(t, roll, circular=True)
 
     meta = {"video_id": csv_path.stem, "user_id": "", "category": "misc"}
-    sidecar = Path(sidecar_path) if sidecar_path is not None else csv_path.with_suffix(".json")
+    sidecar = csv_path.with_suffix(".json")
     if sidecar.exists():
         loaded = json.loads(sidecar.read_text())
         if not isinstance(loaded, dict):
@@ -173,11 +173,11 @@ def parse_trace(csv_path, sidecar_path=None, rebase: bool = True) -> HeadTrace:
     trace = HeadTrace(t, yaw, pitch, roll, yaw_vel, pitch_vel, roll_vel,
                       video_id=str(meta["video_id"]), user_id=str(meta["user_id"]),
                       category=str(meta["category"]))
-    return rebase_yaw(trace) if rebase else trace
+    return rebase_yaw(trace)
 
 
-def write_trace(trace: HeadTrace, csv_path, sidecar_path=None) -> None:
-    """Write a trace as CSV (6 decimal places) plus its JSON sidecar."""
+def write_trace(trace: HeadTrace, csv_path) -> None:
+    """Write a trace as CSV (6 decimal places) plus its JSON sidecar next to it."""
     csv_path = Path(csv_path)
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -186,7 +186,7 @@ def write_trace(trace: HeadTrace, csv_path, sidecar_path=None) -> None:
                    trace.yaw_vel, trace.pitch_vel, trace.roll_vel)
         for row in zip(*columns):
             writer.writerow([f"{x:.6f}" for x in row])
-    sidecar = Path(sidecar_path) if sidecar_path is not None else csv_path.with_suffix(".json")
+    sidecar = csv_path.with_suffix(".json")
     meta = {"video_id": trace.video_id, "user_id": trace.user_id, "category": trace.category}
     sidecar.write_text(json.dumps(meta, indent=2) + "\n")
 

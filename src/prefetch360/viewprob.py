@@ -14,10 +14,9 @@ import numpy as np
 from scipy.special import ndtr
 
 from .model import DirectionGrid, _as_prob_array
-from .traces import _divisions, _windows
+from .traces import _windows
 
 __all__ = [
-    "PROB_SOURCES",
     "ProbVector",
     "AngularDensity",
     "uniform",
@@ -28,18 +27,13 @@ __all__ = [
     "empirical_yaw_change",
 ]
 
-PROB_SOURCES = ("explicit", "empirical", "uniform", "wrapped_gaussian", "point_mass", "convolved")
-
 MASS_TOL = 1e-6
 
+# far past the spread at which the vector is uniform to double precision;
+# bounds the wrap grid at 3,339 periods
+SIGMA_LIMIT_DEG = 1e5
+
 _EPS = 1e-9
-
-
-def _check_lag(lag_s: float) -> float:
-    lag = float(lag_s)
-    if not (lag >= 0):
-        raise ValueError("lag must be nonnegative")
-    return lag
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,20 +41,13 @@ class ProbVector:
     """Tile-view probabilities at one prefetch lag.
 
     ``probs[n]`` is the probability of viewing tile n; entries are
-    nonnegative and sum to 1 within 1e-9.  ``lag_s`` may be ``inf`` for the
-    lifetime distribution.  ``source`` records provenance.
+    nonnegative and sum to 1 within 1e-9.
     """
 
     probs: np.ndarray
-    lag_s: float = 0.0
-    source: str = "explicit"
 
     def __post_init__(self):
-        p = _as_prob_array(self.probs)
-        if self.source not in PROB_SOURCES:
-            raise ValueError(f"unknown source {self.source!r}")
-        object.__setattr__(self, "probs", p)
-        object.__setattr__(self, "lag_s", _check_lag(self.lag_s))
+        object.__setattr__(self, "probs", _as_prob_array(self.probs))
 
     @property
     def n_tiles(self) -> int:
@@ -73,12 +60,10 @@ class AngularDensity:
 
     ``bin_edges`` is ascending with B+1 entries inside [-180, 180];
     ``masses`` holds the probability of each bin and sums to 1 within 1e-6.
-    ``lag_s`` tags which prefetch lag the histogram describes.
     """
 
     bin_edges: np.ndarray
     masses: np.ndarray
-    lag_s: float = 0.0
 
     def __post_init__(self):
         edges = np.asarray(self.bin_edges, dtype=float)
@@ -95,36 +80,37 @@ class AngularDensity:
             raise ValueError("masses must sum to 1 within 1e-6")
         object.__setattr__(self, "bin_edges", edges)
         object.__setattr__(self, "masses", masses)
-        object.__setattr__(self, "lag_s", _check_lag(self.lag_s))
 
 
-def uniform(grid: DirectionGrid, lag_s: float = 0.0) -> ProbVector:
+def uniform(grid: DirectionGrid) -> ProbVector:
     """Every tile equally likely."""
-    return ProbVector(np.full(grid.n_tiles, 1.0 / grid.n_tiles), lag_s, "uniform")
+    return ProbVector(np.full(grid.n_tiles, 1.0 / grid.n_tiles))
 
 
-def point_mass(angle_deg: float, grid: DirectionGrid, lag_s: float = 0.0) -> ProbVector:
+def point_mass(angle_deg: float, grid: DirectionGrid) -> ProbVector:
     """All mass on the tile containing the given angle."""
+    if not np.isfinite(angle_deg):
+        raise ValueError("angle must be finite")
     p = np.zeros(grid.n_tiles)
     p[grid.tile_index(angle_deg)] = 1.0
-    return ProbVector(p, lag_s, "point_mass")
+    return ProbVector(p)
 
 
-def wrapped_gaussian(sigma_deg: float, grid: DirectionGrid, lag_s: float = 0.0) -> ProbVector:
+def wrapped_gaussian(sigma_deg: float, grid: DirectionGrid) -> ProbVector:
     """Wrapped normal centered on the 0 line, integrated per tile.
 
     The wrap sum runs over enough periods to cover six standard deviations,
     so the truncation error is far below the 1e-9 normalization tolerance.
     As sigma grows the vector approaches uniform.
     """
-    if not (np.isfinite(sigma_deg) and sigma_deg > 0):
-        raise ValueError("sigma must be positive and finite")
+    if not 0 < sigma_deg <= SIGMA_LIMIT_DEG:
+        raise ValueError(f"sigma must be positive and at most {SIGMA_LIMIT_DEG:g} degrees")
     edges = np.arange(grid.n_tiles + 1) * grid.tile_width_deg
     k = int(np.ceil(6.0 * sigma_deg / 360.0)) + 2
     shifts = 360.0 * np.arange(-k, k + 1)
     cdf = ndtr((edges[None, :] + shifts[:, None]) / sigma_deg)
     p = np.diff(cdf, axis=1).sum(axis=0)
-    return ProbVector(p / p.sum(), lag_s, "wrapped_gaussian")
+    return ProbVector(p / p.sum())
 
 
 def circular_smooth(p: ProbVector, kernel) -> ProbVector:
@@ -138,10 +124,10 @@ def circular_smooth(p: ProbVector, kernel) -> ProbVector:
     kern = _as_prob_array(kernel, n, "kernel")
     idx = np.arange(n)
     mix = kern[(idx[:, None] - idx[None, :]) % n]
-    return ProbVector(mix @ p.probs, p.lag_s, "convolved")
+    return ProbVector(mix @ p.probs)
 
 
-def discretize(density: AngularDensity, grid: DirectionGrid, source: str = "empirical") -> ProbVector:
+def discretize(density: AngularDensity, grid: DirectionGrid) -> ProbVector:
     """Integrate an angular density over the grid's tiles.
 
     Histogram bins that straddle a tile edge contribute proportionally to the
@@ -166,25 +152,23 @@ def discretize(density: AngularDensity, grid: DirectionGrid, source: str = "empi
                 overlap = min(s1, (m + 1) * width) - max(s0, m * width)
                 if overlap > 0:
                     p[m] += mass * overlap / (hi - lo)
-    return ProbVector(p / p.sum(), density.lag_s, source)
+    return ProbVector(p / p.sum())
 
 
-def empirical_yaw_change(traces, lag_s: float, stride_s: float = 0.1,
-                         bin_width_deg: float = 1.0) -> AngularDensity:
+def empirical_yaw_change(traces, lag_s: float, stride_s: float = 0.1) -> AngularDensity:
     """Histogram of yaw changes over a lookahead of lag_s, pooled over traces.
 
-    Start times step every stride_s through each trace.  ``lag_s = inf``
-    switches to the lifetime distribution: the histogram of all yaw samples
-    relative to each trace's starting direction, which summarizes where
-    viewers spend time regardless of lag.
+    Start times step every stride_s through each trace, and the bins are 1
+    degree wide.  ``lag_s = inf`` switches to the lifetime distribution: the
+    histogram of all yaw samples relative to each trace's starting direction,
+    which summarizes where viewers spend time regardless of lag.
     """
-    n_bins = _divisions(360.0, bin_width_deg, "bin")
     if np.isinf(lag_s):
         samples = _windows(traces, 0.0, stride_s)[1]
     elif lag_s > 0:
         samples = _windows(traces, lag_s, stride_s)[2]
     else:
         raise ValueError("lag must be positive")
-    edges = np.linspace(-180.0, 180.0, n_bins + 1)
+    edges = np.linspace(-180.0, 180.0, 361)
     counts, _ = np.histogram(samples, bins=edges)
-    return AngularDensity(edges, counts / counts.sum(), lag_s)
+    return AngularDensity(edges, counts / counts.sum())

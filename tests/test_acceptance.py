@@ -34,6 +34,7 @@ from prefetch360 import (
     velocity_prediction_error,
     wrapped_gaussian,
 )
+from prefetch360.config import build_probs
 
 from conftest import SIX_LEVEL_RATES, TOY_PROBS
 
@@ -143,7 +144,7 @@ def test_c04_large_screen_utility_closed_form(ladder6):
 
 
 def test_c05_capacity_monotone_with_diminishing_returns(ladder6, grid6):
-    probs = wrapped_gaussian(25.0 * np.sqrt(20.0), grid6, 20.0)
+    probs = wrapped_gaussian(25.0 * np.sqrt(20.0), grid6)
     utility = UtilityModel("large_screen")
     values = np.array([solve_dp(Instance(grid6, ladder6, utility, probs, cap, 0.0)).value
                        for cap in (1250, 2500, 5000, 10000, 20000)])
@@ -175,7 +176,9 @@ def test_c07_uniform_family_flat_in_lag(ladder6, grid6):
     utility = UtilityModel("linear")
     spread = 0.0
     for cap in (1250, 5000):
-        values = [solve_dp(Instance(grid6, ladder6, utility, uniform(grid6, t), cap, 0.25)).value
+        values = [solve_dp(Instance(grid6, ladder6, utility,
+                                    build_probs({"family": "uniform", "lag_s": t}, grid6),
+                                    cap, 0.25)).value
                   for t in (1.0, 2.0, 5.0, 10.0, 20.0)]
         spread = max(spread, max(values) - min(values))
     assert report(7, "uniform family flat in lag", spread <= 1e-12,

@@ -5,12 +5,18 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import prefetch360
 from prefetch360 import (
     DirectionGrid,
     Instance,
@@ -31,10 +37,29 @@ TOY_SOLVE = {
 }
 
 
+# odd JSON values for the fuzzed configs; the huge ones must be refused before any allocation
+ODD = (0, -1, -0.5, 1e-12, 1e-300, 1e300, 10**18, 10**400, math.inf, -math.inf, math.nan,
+       "1", None, True, False, [], [1.0], 0.5, 1, 2.5, 45)
+
+
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def run_main(argv):
+    """main(argv) -> (exit code, stdout, stderr), with warnings raised as errors.
+
+    A numpy warning would be a second stderr line in a real run.  The filter
+    covers only the call, so a failing example still reports cleanly.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def read_csv(path):
@@ -107,7 +132,10 @@ class TestExitCodes:
         ("sweep", {**SWEEP, "capacity": [100.7]}, "capacity"),
         ("sweep", {**SWEEP, "capacity": [-5, 100]}, "capacity"),
         ("sweep", {**SWEEP, "beta": [True]}, "beta"),
+        ("sweep", {**SWEEP, "lags": [math.nan]}, "lags"),
         ("solve", {**TOY_SOLVE, "rates": [None]}, "rates"),
+        ("solve", {**TOY_SOLVE, "probs": {"family": "uniform", "lag_s": -1}}, "probs.lag_s"),
+        ("solve", {**TOY_SOLVE, "probs": {"family": "uniform", "lag_s": math.nan}}, "probs.lag_s"),
         ("schedule", {"rates": [100, 200], "N": 3,
                       "passes": [{"lead_s": 5, "budget": 10, "probs": 5}]}, "probs"),
         ("analyze", {"lags": [None]}, "lags"),
@@ -115,13 +143,45 @@ class TestExitCodes:
         ("oracle", {"batch": {"count": True}}, "batch.count"),
     ], ids=["sweep-capacity-null", "sweep-N-null", "sweep-lag-null", "sweep-sigma0-null",
             "sweep-capacity-fraction", "sweep-capacity-negative", "sweep-beta-bool",
-            "solve-rate-null", "schedule-probs-number", "analyze-lag-null", "analyze-lag-nan",
-            "oracle-count-bool"])
+            "sweep-lag-nan", "solve-rate-null", "solve-lag-negative", "solve-lag-nan",
+            "schedule-probs-number", "analyze-lag-null", "analyze-lag-nan", "oracle-count-bool"])
     def test_malformed_config_names_the_key(self, tmp_path, capsys, command, config, key):
         cfg = write_config(tmp_path, config)
         assert main([command, "--config", cfg]) == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:") and key in lines[0]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command, n_tiles", [
+        ("solve", 361), ("solve", 10**13), ("solve", 10**400), ("sweep", 10**13),
+    ], ids=["solve-361", "solve-1e13", "solve-1e400", "sweep-1e13"])
+    def test_tile_count_over_the_bound_is_refused(self, tmp_path, capsys, command, n_tiles):
+        # one tile per degree at most, refused before any table is sized
+        config = TOY_SOLVE if command == "solve" else self.SWEEP
+        cfg = write_config(tmp_path, {**config, "N": n_tiles})
+        assert main([command, "--config", cfg]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and "at most 360" in lines[0]
+
+    def test_module_form_runs_main(self, tmp_path):
+        # python -m prefetch360.cli reaches main, like the installed script
+        src = str(Path(prefetch360.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+        def run(payload):
+            cfg = write_config(tmp_path, payload)
+            return subprocess.run([sys.executable, "-W", "error", "-m", "prefetch360.cli",
+                                   "solve", "--config", cfg],
+                                  capture_output=True, text=True, env=env, timeout=120)
+
+        good = run(TOY_SOLVE)
+        assert good.returncode == 0 and good.stderr == ""
+        assert json.loads(good.stdout)["levels"] == [2, 1, 0]
+        bad = run({**TOY_SOLVE, "capacity": -1})
+        lines = bad.stderr.splitlines()
+        assert bad.returncode == 1 and bad.stdout == ""
+        assert len(lines) == 1 and lines[0].startswith("error:")
 
     def test_oversized_dp_table_is_refused_before_allocation(self, tmp_path, capsys):
         # the int16 parents table would need 2.35 TB
@@ -224,6 +284,43 @@ class TestSweep:
             payload = json.loads(capsys.readouterr().out)
             assert float(row[7]) == pytest.approx(payload["value"], abs=1e-6)
             assert row[8] == "|".join(str(level) for level in payload["levels"])
+
+    # each family with the keys it reads; the fuzz may override any of them
+    FAMILIES = {
+        "uniform": {},
+        "point_mass": {"angle_deg": 30.0},
+        "wrapped_gaussian": {"sigma_deg": 30.0},
+        "wrapped_gaussian_sqrt": {"sigma0_deg": 25.0},
+        "explicit": {"values": [0.5, 0.25, 0.25]},
+        "convolved": {"base_sigma_deg": 15.0, "kernel_sigma_deg": 15.0},
+        "empirical": {"stride_s": 0.5, "category": "rides"},
+    }
+    LIST_KEYS = ("lags", "N", "capacity", "beta", "f")
+
+    @settings(deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_fuzzed_config_exits_0_or_1_with_one_error_line(self, small_cohort, data):
+        # one or two odd keys per config, so most draws get past parsing to the DP
+        odd = st.sampled_from(ODD)
+        kind = data.draw(st.sampled_from(sorted(self.FAMILIES)))
+        family = {"kind": kind, **self.FAMILIES[kind]}
+        config = {"rates": [100, 200], "N": 3, "capacity": [100, 300], "lags": [1.0, 2.0],
+                  "family": family}
+        keys = self.LIST_KEYS + ("delta",) + tuple(f"family.{k}" for k in self.FAMILIES[kind])
+        for key in data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=2, unique=True)):
+            value = data.draw(odd | st.lists(odd, max_size=3) if key in self.LIST_KEYS else odd)
+            if key.startswith("family."):
+                family[key[len("family."):]] = value
+            else:
+                config[key] = value
+        path = small_cohort.parent / "sweep-fuzz.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_main(["sweep", "--config", str(path), "--traces", str(small_cohort)])
+        lines = err.splitlines()
+        if code == 0:
+            assert lines == [] and out.startswith("family,utility,N,C,f,beta,T,value,levels\n")
+        else:
+            assert code == 1 and len(lines) == 1 and lines[0].startswith("error:"), (code, lines)
 
     def test_empirical_family_needs_traces(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {**self.SWEEP, "family": {"kind": "empirical"}})
@@ -394,19 +491,16 @@ class TestAnalyzeLimits:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0]
 
-    ODD = (0, -1, -0.5, 1e-12, 1e-300, 1e300, 10**400, math.inf, -math.inf, math.nan,
-           "1", None, True, False, [], [1.0], 0.5, 1, 2.5, 45)
     NUMERIC_KEYS = ("stride_s", "vel_threshold_dps", "safety_angle_deg", "sector_deg", "split_s",
                     "yaw_bin_deg", "pitch_bin_deg", "pairwise_step_s")
     METRICS = ("utilization", "heatmap", "pairwise", "yaw_change", "velocity_error",
                "origin_sectors", "phase_split")
 
-    @pytest.mark.filterwarnings("error")
     @settings(deadline=None, max_examples=100)
     @given(data=st.data())
     def test_fuzzed_config_exits_0_or_1_with_one_error_line(self, small_cohort, data):
         # one or two odd keys per config, so most draws get past parsing to the analytics
-        odd = st.sampled_from(self.ODD)
+        odd = st.sampled_from(ODD)
         config = {"metrics": data.draw(st.lists(st.sampled_from(self.METRICS), min_size=1,
                                                 max_size=3, unique=True))}
         for key in data.draw(st.lists(st.sampled_from(("lags",) + self.NUMERIC_KEYS), min_size=1,
@@ -414,11 +508,9 @@ class TestAnalyzeLimits:
             config[key] = data.draw(odd | st.lists(odd, max_size=3) if key == "lags" else odd)
         path = small_cohort.parent / "fuzz.json"
         path.write_text(json.dumps(config))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["analyze", "--config", str(path), "--traces", str(small_cohort)])
-        lines = err.getvalue().splitlines()
+        code, out, err = run_main(["analyze", "--config", str(path), "--traces", str(small_cohort)])
+        lines = err.splitlines()
         if code == 0:
-            assert lines == [] and out.getvalue().startswith("metric,group,stat,value\n")
+            assert lines == [] and out.startswith("metric,group,stat,value\n")
         else:
             assert code == 1 and len(lines) == 1 and lines[0].startswith("error:"), (code, lines)

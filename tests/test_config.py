@@ -84,7 +84,6 @@ class TestLadderAndUtility:
 class TestBuildProbs:
     def test_uniform_and_point_mass(self, grid):
         p = build_probs({"family": "uniform", "lag_s": 2.0}, grid)
-        assert p.lag_s == 2.0
         np.testing.assert_array_equal(p.probs, np.full(6, 1 / 6))
         p = build_probs({"family": "point_mass", "angle_deg": 70.0}, grid)
         assert p.probs[1] == 1.0
@@ -119,6 +118,8 @@ class TestBuildProbs:
             build_probs({"family": "empirical", "lag_s": 1.0}, grid, None)
         p = build_probs({"family": "empirical", "lag_s": 1.0}, grid, trace_dir)
         assert p.probs[0] == pytest.approx(1.0)  # fixed gazes never move
+        lifetime = build_probs({"family": "empirical", "lag_s": np.inf}, grid, trace_dir)
+        assert lifetime.probs[0] == pytest.approx(1.0)
 
     def test_unknown_family(self, grid):
         with pytest.raises(ConfigError, match="unknown family"):
@@ -147,9 +148,10 @@ class TestParseInstance:
 
 class TestParseSchedule:
     def test_two_pass_plan(self):
+        grown = {"family": "wrapped_gaussian_sqrt", "sigma0_deg": 10.0}
         cfg = {"rates": [100, 200], "N": 3, "beta": 0.0,
                "passes": [
-                   {"lead_s": 20, "budget": 100, "probs": {"family": "uniform"}},
+                   {"lead_s": 20, "budget": 100, "probs": grown},
                    {"lead_s": 5, "budget": 200, "probs": {"family": "uniform"}},
                ]}
         plan, ladder, utility, beta, size_model = parse_schedule(cfg)
@@ -157,7 +159,8 @@ class TestParseSchedule:
         assert plan.passes[0].budget == 100
         assert size_model.mode == "svc_ideal"
         # the pass lead time doubles as the default probability lag
-        assert plan.passes[0].probs.lag_s == 20.0
+        at_lead = build_probs({**grown, "lag_s": 20.0}, DirectionGrid(3))
+        np.testing.assert_array_equal(plan.passes[0].probs.probs, at_lead.probs)
 
     def test_size_model_block(self):
         cfg = {"rates": [100], "N": 2, "size_model": {"mode": "redownload", "overhead": 0.2},

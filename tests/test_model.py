@@ -38,10 +38,12 @@ class TestQualityLadder:
             QualityLadder(rates)
 
     def test_rejects_bad_chunk_and_penalty(self):
-        with pytest.raises(ValueError, match="chunk duration"):
-            QualityLadder((100.0,), chunk_s=0.0)
-        with pytest.raises(ValueError, match="stall penalty"):
-            QualityLadder((100.0,), stall_penalty=-1.0)
+        for chunk in (0.0, np.nan, np.inf, 1e300):
+            with pytest.raises(ValueError, match="chunk duration"):
+                QualityLadder((100.0,), chunk_s=chunk)
+        for penalty in (-1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="stall penalty"):
+                QualityLadder((100.0,), stall_penalty=penalty)
 
     def test_level_sizes_are_integers_with_zero_floor(self, toy_ladder, ladder6):
         np.testing.assert_array_equal(toy_ladder.level_sizes(), [0, 100, 200])
@@ -127,6 +129,12 @@ class TestDirectionGrid:
             DirectionGrid(1)
         with pytest.raises(ValueError, match="at least 2"):
             DirectionGrid(4.5)
+
+    def test_rejects_more_than_one_tile_per_degree(self):
+        assert DirectionGrid(360).tile_width_deg == 1.0
+        for n_tiles in (361, 10**13, 10**400):
+            with pytest.raises(ValueError, match="at most 360"):
+                DirectionGrid(n_tiles)
 
     def test_tile_width_and_starts(self, grid6):
         assert grid6.tile_width_deg == 60.0

@@ -14,7 +14,6 @@ from prefetch360 import (
     eval_objective,
     selection_size,
     solve_dp,
-    solve_dp_full,
     solve_mckp,
     uniform,
     wrapped_gaussian,
@@ -101,44 +100,6 @@ class TestKnapsackForm:
         assert report.value == 0.65
 
 
-class TestFullTable:
-    def test_report_matches_streaming_solver(self, toy_instance):
-        inst = toy_instance(capacity=300, beta=0.25)
-        report, table = solve_dp_full(inst)
-        streaming = solve_dp(inst)
-        assert report.value == streaming.value
-        assert report.selection.levels == streaming.selection.levels
-        assert table.values.shape == (3, 3, 3, 301)
-
-    def test_entries_are_finite_exactly_when_the_pinned_tile_fits(self, toy_instance):
-        inst = toy_instance(capacity=300, beta=0.25)
-        _, table = solve_dp_full(inst)
-        sizes = inst.size_table[0]
-        for l0 in range(3):
-            finite = np.isfinite(table.values[l0])
-            expected = np.arange(301)[None, None, :] >= sizes[l0]
-            np.testing.assert_array_equal(finite, np.broadcast_to(expected, finite.shape))
-
-    def test_refuses_tables_that_would_not_fit(self, ladder6, grid6):
-        inst = Instance(grid6, ladder6, UtilityModel("linear"),
-                        np.full(6, 1 / 6), 10_000_000, 0.0)
-        with pytest.raises(ValueError, match="too large"):
-            solve_dp_full(inst)
-
-    def test_dp_refuses_parents_tables_over_the_limit(self, ladder6, grid6, monkeypatch):
-        from prefetch360 import optimizer
-
-        # the limit admits N=24, six levels, C=400k (four-second chunks)
-        assert 7 * 7 * 24 * 400_001 * 2 <= optimizer.PARENTS_TABLE_LIMIT
-        inst = Instance(grid6, ladder6, UtilityModel("linear"), np.full(6, 1 / 6), 1000, 0.0)
-        table_bytes = 7 * 7 * 6 * 1001 * 2
-        monkeypatch.setattr(optimizer, "PARENTS_TABLE_LIMIT", table_bytes)
-        assert solve_dp(inst).selection.levels
-        monkeypatch.setattr(optimizer, "PARENTS_TABLE_LIMIT", table_bytes - 1)
-        with pytest.raises(ValueError, match="parents table"):
-            solve_dp(inst)
-
-
 class TestCapacityGrid:
     @pytest.mark.parametrize("draw, seed", [(random_instance, 11), (dyadic_instance, 12)],
                              ids=["random", "dyadic"])
@@ -156,6 +117,7 @@ class TestCapacityGrid:
                 alone = solve_dp(replace(inst, capacity=cap))
                 assert selection.levels == alone.selection.levels
                 assert selection.value == alone.value
+                assert selection_size(selection, inst) <= cap
 
     def test_rejects_capacities_outside_the_table(self, toy_instance):
         inst = toy_instance(capacity=300)
@@ -163,6 +125,19 @@ class TestCapacityGrid:
             solve_dp(inst, [100, 301])
         with pytest.raises(ValueError, match="capacity"):
             solve_dp(inst, [-5, 100])
+
+    def test_dp_refuses_parents_tables_over_the_limit(self, ladder6, grid6, monkeypatch):
+        from prefetch360 import optimizer
+
+        # the limit admits N=24, six levels, C=400k (four-second chunks)
+        assert 7 * 7 * 24 * 400_001 * 2 <= optimizer.PARENTS_TABLE_LIMIT
+        inst = Instance(grid6, ladder6, UtilityModel("linear"), np.full(6, 1 / 6), 1000, 0.0)
+        table_bytes = 7 * 7 * 6 * 1001 * 2
+        monkeypatch.setattr(optimizer, "PARENTS_TABLE_LIMIT", table_bytes)
+        assert solve_dp(inst).selection.levels
+        monkeypatch.setattr(optimizer, "PARENTS_TABLE_LIMIT", table_bytes - 1)
+        with pytest.raises(ValueError, match="parents table"):
+            solve_dp(inst)
 
 
 class TestStructuralProperties:

@@ -146,13 +146,6 @@ class TestRunPlan:
                 assert np.all(res.state.levels >= prev)
                 prev = res.state.levels
 
-    def test_respects_an_initial_cache(self, toy_ladder):
-        p = np.array(TOY_PROBS)
-        plan = PrefetchPlan((PrefetchPass(5.0, 0, p),))
-        results = run_plan(plan, toy_ladder, UtilityModel("linear"),
-                           initial=TileState(np.array([0, 2, 0])))
-        np.testing.assert_array_equal(results[0].state.levels, [0, 2, 0])
-
     def test_pass_value_is_the_merged_state_under_pass_probs(self, toy_ladder):
         early = np.full(3, 1 / 3)
         late = np.array([0.8, 0.1, 0.1])
