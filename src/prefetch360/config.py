@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import DirectionGrid, Instance, QualityLadder, UtilityModel
-from .scheduler import PrefetchPass, PrefetchPlan, SizeModel
+from .scheduler import PrefetchPass, PrefetchPlan, SizeModel, _check_lead_time
 from .traces import CATEGORIES, parse_trace
 from .viewprob import (
     ProbVector,
@@ -38,6 +38,10 @@ __all__ = [
     "parse_gen",
     "parse_analyze",
 ]
+
+
+# smoothing steps of the convolved family, one per sweep lag; far past any lag grid in use
+MAX_STEPS = 1000
 
 
 class ConfigError(ValueError):
@@ -73,7 +77,8 @@ def _number(cfg: dict, key: str, default=None):
         raise ConfigError(f"{key}: expected a number")
     if isinstance(value, int) and abs(value) > sys.float_info.max:
         raise ConfigError(f"{key}: number out of range")
-    return value
+    # a float, so no JSON integer past int64 reaches numpy arithmetic
+    return float(value)
 
 
 def _int(cfg: dict, key: str, default=None):
@@ -171,11 +176,11 @@ def build_probs(spec: dict, grid: DirectionGrid, traces_dir=None) -> ProbVector:
         except ValueError as exc:
             raise ConfigError(f"probs: {exc}") from None
     if family == "convolved":
+        steps = _int(spec, "steps", 1)
+        if not 0 <= steps <= MAX_STEPS:
+            raise ConfigError(f"probs.steps: must be nonnegative and at most {MAX_STEPS}")
         base = wrapped_gaussian(_number(spec, "base_sigma_deg", 15.0), grid)
         kernel = wrapped_gaussian(_number(spec, "kernel_sigma_deg", 15.0), grid).probs
-        steps = _int(spec, "steps", 1)
-        if steps < 0:
-            raise ConfigError("probs.steps: must be nonnegative")
         out = base
         for _ in range(steps):
             out = circular_smooth(out, kernel)
@@ -224,6 +229,10 @@ def parse_schedule(cfg: dict, traces_dir=None):
         if not isinstance(block, dict):
             raise ConfigError(f"passes[{i}]: expected an object")
         lead = _number(block, "lead_s")
+        try:
+            _check_lead_time(lead)
+        except ValueError as exc:
+            raise ConfigError(f"passes[{i}]: {exc}") from None
         probs_spec = _require(block, "probs")
         if not isinstance(probs_spec, dict):
             raise ConfigError(f"passes[{i}].probs: expected an object")

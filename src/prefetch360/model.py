@@ -201,7 +201,8 @@ def _as_nonneg_ints(values, name: str, ndim: int = 0) -> np.ndarray:
     """The one nonnegative-integer check: ``values`` as int64 with ``ndim`` axes.
 
     Integral floats such as 3.0 pass; bools, strings, infinities, NaNs and
-    fractions do not.
+    fractions do not, and neither does anything from 2^63 up, which int64
+    would wrap to a negative number.
     """
     a = np.asarray(values)
     noun = "a nonnegative integer" if ndim == 0 else "nonnegative integers"
@@ -209,6 +210,8 @@ def _as_nonneg_ints(values, name: str, ndim: int = 0) -> np.ndarray:
         raise ValueError(f"{name} must be {noun}")
     if np.any(a != np.rint(a)):
         raise ValueError(f"{name} must be {noun}; round before use")
+    if a.dtype.kind != "i" and np.any(a >= 2**63):
+        raise ValueError(f"{name} must be {noun} below 2^63")
     return a.astype(np.int64)
 
 

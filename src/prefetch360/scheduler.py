@@ -66,6 +66,11 @@ class SizeModel:
             raise ValueError("overhead must lie in [0, 1]")
 
 
+def _check_lead_time(lead_time_s) -> None:
+    if not (np.isfinite(lead_time_s) and lead_time_s >= 0):
+        raise ValueError("lead time must be finite and nonnegative")
+
+
 @dataclass(frozen=True, eq=False)
 class PrefetchPass:
     """One booking opportunity: how far ahead, how much budget, which probs."""
@@ -75,8 +80,7 @@ class PrefetchPass:
     probs: object
 
     def __post_init__(self):
-        if not (np.isfinite(self.lead_time_s) and self.lead_time_s >= 0):
-            raise ValueError("lead time must be finite and nonnegative")
+        _check_lead_time(self.lead_time_s)
         object.__setattr__(self, "budget", int(_as_nonneg_ints(self.budget, "budget")))
 
 

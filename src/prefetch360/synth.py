@@ -9,7 +9,7 @@ otherwise.
 import numpy as np
 
 from .angles import wrap_deg
-from .traces import HeadTrace, _finite_diff
+from .traces import GRID_LIMIT, HeadTrace, _finite_diff
 
 __all__ = [
     "constant_trace",
@@ -24,6 +24,9 @@ __all__ = [
 def _grid(duration_s: float, rate_hz: float) -> np.ndarray:
     if not (duration_s > 0 and rate_hz > 0):
         raise ValueError("duration and rate must be positive")
+    # bounded as a float, which may be inf, before it becomes a sample count
+    if not duration_s * rate_hz < GRID_LIMIT:
+        raise ValueError(f"duration times rate must stay below {GRID_LIMIT} samples per trace")
     return np.arange(int(round(duration_s * rate_hz)) + 1) / rate_hz
 
 

@@ -38,8 +38,52 @@ TOY_SOLVE = {
 
 
 # odd JSON values for the fuzzed configs; the huge ones must be refused before any allocation
-ODD = (0, -1, -0.5, 1e-12, 1e-300, 1e300, 10**18, 10**400, math.inf, -math.inf, math.nan,
-       "1", None, True, False, [], [1.0], 0.5, 1, 2.5, 45)
+ODD = (0, -1, -0.5, 1e-12, 1e-300, 5e-324, 1e300, 10**18, 2**63, 10**19, 10**400, math.inf,
+       -math.inf, math.nan, "1", None, True, False, [], [1.0], 0.5, 1, 2.5, 45)
+
+
+# each probability family with the keys it reads; the fuzz may override any of them
+FAMILIES = {
+    "uniform": {},
+    "point_mass": {"angle_deg": 30.0},
+    "wrapped_gaussian": {"sigma_deg": 30.0},
+    "wrapped_gaussian_sqrt": {"sigma0_deg": 25.0},
+    "explicit": {"values": [0.5, 0.25, 0.25]},
+    "convolved": {"base_sigma_deg": 15.0, "kernel_sigma_deg": 15.0},
+    "empirical": {"stride_s": 0.5, "category": "rides"},
+}
+INSTANCE_KEYS = ("rates", "delta", "f", "beta", "N")
+
+
+def set_key(config, dotted, value):
+    """``config["a"][0]["b"] = value`` for the key ``a.0.b``."""
+    *path, last = dotted.split(".")
+    for part in path:
+        config = config[int(part)] if part.isdigit() else config[part]
+    config[last] = value
+
+
+def draw_odd_keys(data, config, keys, list_keys=()):
+    """Override one or two keys with odd values, so most draws still reach the solver."""
+    odd = st.sampled_from(ODD)
+    for key in data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=2, unique=True)):
+        set_key(config, key, data.draw(odd | st.lists(odd, max_size=3) if key in list_keys else odd))
+
+
+def assert_exit_0_or_1(argv, header):
+    """Exit 0 with output and an empty stderr, or exit 1 with one ``error:`` line."""
+    code, out, err = run_main(argv)
+    lines = err.splitlines()
+    if code == 0:
+        assert lines == [] and out.startswith(header)
+    else:
+        assert code == 1 and len(lines) == 1 and lines[0].startswith("error:"), (code, lines)
+
+
+def one_pass_schedule(**keys):
+    """A one-pass schedule config with the pass's keys overridden."""
+    return {"rates": [100, 200], "N": 3,
+            "passes": [{"lead_s": 5, "budget": 10, "probs": {"family": "uniform"}, **keys}]}
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -60,6 +104,15 @@ def run_main(argv):
         warnings.simplefilter("error")
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def run_python(*args):
+    """A fresh interpreter, warnings as errors, with this package on its path."""
+    src = str(Path(prefetch360.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-W", "error", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 def read_csv(path):
@@ -100,6 +153,18 @@ class TestSolve:
         assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
         assert json.loads(out.read_text())["value"] == 0.65
 
+    @settings(deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_fuzzed_config_exits_0_or_1_with_one_error_line(self, small_cohort, data):
+        kind = data.draw(st.sampled_from(sorted(FAMILIES)))
+        probs = {"family": kind, "lag_s": 1.0, "steps": 1, **FAMILIES[kind]}
+        config = {"rates": [100, 200], "N": 3, "capacity": 300, "probs": probs}
+        keys = INSTANCE_KEYS + ("capacity",) + tuple(f"probs.{k}" for k in probs if k != "family")
+        draw_odd_keys(data, config, keys, ("rates",))
+        path = small_cohort.parent / "solve-fuzz.json"
+        path.write_text(json.dumps(config))
+        assert_exit_0_or_1(["solve", "--config", str(path), "--traces", str(small_cohort)], "{")
+
 
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path, capsys):
@@ -136,15 +201,28 @@ class TestExitCodes:
         ("solve", {**TOY_SOLVE, "rates": [None]}, "rates"),
         ("solve", {**TOY_SOLVE, "probs": {"family": "uniform", "lag_s": -1}}, "probs.lag_s"),
         ("solve", {**TOY_SOLVE, "probs": {"family": "uniform", "lag_s": math.nan}}, "probs.lag_s"),
-        ("schedule", {"rates": [100, 200], "N": 3,
-                      "passes": [{"lead_s": 5, "budget": 10, "probs": 5}]}, "probs"),
+        ("solve", {**TOY_SOLVE, "capacity": 2**63}, "capacity"),
+        ("solve", {**TOY_SOLVE, "capacity": 10**19}, "capacity"),
+        ("solve", {**TOY_SOLVE, "capacity": 2**64 - 1}, "capacity"),
+        ("solve", {**TOY_SOLVE, "probs": {"family": "convolved", "steps": 1001}}, "probs.steps"),
+        ("solve", {**TOY_SOLVE, "probs": {"family": "convolved", "steps": 10**18}}, "probs.steps"),
+        ("schedule", one_pass_schedule(probs=5), "probs"),
+        ("schedule", one_pass_schedule(budget=2**63), "passes[0]"),
+        ("schedule", one_pass_schedule(budget=10**19), "passes[0]"),
+        ("schedule", one_pass_schedule(budget=2**64 - 1), "passes[0]"),
+        ("schedule", one_pass_schedule(lead_s=-1), "passes[0]: lead time"),
+        ("schedule", one_pass_schedule(lead_s=math.nan), "passes[0]: lead time"),
         ("analyze", {"lags": [None]}, "lags"),
         ("analyze", {"lags": [math.nan]}, "lags"),
         ("oracle", {"batch": {"count": True}}, "batch.count"),
     ], ids=["sweep-capacity-null", "sweep-N-null", "sweep-lag-null", "sweep-sigma0-null",
             "sweep-capacity-fraction", "sweep-capacity-negative", "sweep-beta-bool",
             "sweep-lag-nan", "solve-rate-null", "solve-lag-negative", "solve-lag-nan",
-            "schedule-probs-number", "analyze-lag-null", "analyze-lag-nan", "oracle-count-bool"])
+            "solve-capacity-2^63", "solve-capacity-1e19", "solve-capacity-2^64-1",
+            "solve-steps-1001", "solve-steps-1e18", "schedule-probs-number",
+            "schedule-budget-2^63", "schedule-budget-1e19", "schedule-budget-2^64-1",
+            "schedule-lead-negative", "schedule-lead-nan",
+            "analyze-lag-null", "analyze-lag-nan", "oracle-count-bool"])
     def test_malformed_config_names_the_key(self, tmp_path, capsys, command, config, key):
         cfg = write_config(tmp_path, config)
         assert main([command, "--config", cfg]) == 1
@@ -165,15 +243,9 @@ class TestExitCodes:
 
     def test_module_form_runs_main(self, tmp_path):
         # python -m prefetch360.cli reaches main, like the installed script
-        src = str(Path(prefetch360.__file__).resolve().parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-
         def run(payload):
             cfg = write_config(tmp_path, payload)
-            return subprocess.run([sys.executable, "-W", "error", "-m", "prefetch360.cli",
-                                   "solve", "--config", cfg],
-                                  capture_output=True, text=True, env=env, timeout=120)
+            return run_python("-m", "prefetch360.cli", "solve", "--config", cfg)
 
         good = run(TOY_SOLVE)
         assert good.returncode == 0 and good.stderr == ""
@@ -182,6 +254,11 @@ class TestExitCodes:
         lines = bad.stderr.splitlines()
         assert bad.returncode == 1 and bad.stdout == ""
         assert len(lines) == 1 and lines[0].startswith("error:")
+
+    def test_cli_imports_without_scipy(self):
+        # numpy is the only runtime dependency
+        proc = run_python("-c", "import prefetch360.cli, sys; print('scipy' in sys.modules)")
+        assert proc.returncode == 0 and proc.stdout == "False\n"
 
     def test_oversized_dp_table_is_refused_before_allocation(self, tmp_path, capsys):
         # the int16 parents table would need 2.35 TB
@@ -285,42 +362,20 @@ class TestSweep:
             assert float(row[7]) == pytest.approx(payload["value"], abs=1e-6)
             assert row[8] == "|".join(str(level) for level in payload["levels"])
 
-    # each family with the keys it reads; the fuzz may override any of them
-    FAMILIES = {
-        "uniform": {},
-        "point_mass": {"angle_deg": 30.0},
-        "wrapped_gaussian": {"sigma_deg": 30.0},
-        "wrapped_gaussian_sqrt": {"sigma0_deg": 25.0},
-        "explicit": {"values": [0.5, 0.25, 0.25]},
-        "convolved": {"base_sigma_deg": 15.0, "kernel_sigma_deg": 15.0},
-        "empirical": {"stride_s": 0.5, "category": "rides"},
-    }
     LIST_KEYS = ("lags", "N", "capacity", "beta", "f")
 
     @settings(deadline=None, max_examples=100)
     @given(data=st.data())
     def test_fuzzed_config_exits_0_or_1_with_one_error_line(self, small_cohort, data):
-        # one or two odd keys per config, so most draws get past parsing to the DP
-        odd = st.sampled_from(ODD)
-        kind = data.draw(st.sampled_from(sorted(self.FAMILIES)))
-        family = {"kind": kind, **self.FAMILIES[kind]}
+        kind = data.draw(st.sampled_from(sorted(FAMILIES)))
         config = {"rates": [100, 200], "N": 3, "capacity": [100, 300], "lags": [1.0, 2.0],
-                  "family": family}
-        keys = self.LIST_KEYS + ("delta",) + tuple(f"family.{k}" for k in self.FAMILIES[kind])
-        for key in data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=2, unique=True)):
-            value = data.draw(odd | st.lists(odd, max_size=3) if key in self.LIST_KEYS else odd)
-            if key.startswith("family."):
-                family[key[len("family."):]] = value
-            else:
-                config[key] = value
+                  "family": {"kind": kind, **FAMILIES[kind]}}
+        keys = self.LIST_KEYS + ("delta",) + tuple(f"family.{k}" for k in FAMILIES[kind])
+        draw_odd_keys(data, config, keys, self.LIST_KEYS)
         path = small_cohort.parent / "sweep-fuzz.json"
         path.write_text(json.dumps(config))
-        code, out, err = run_main(["sweep", "--config", str(path), "--traces", str(small_cohort)])
-        lines = err.splitlines()
-        if code == 0:
-            assert lines == [] and out.startswith("family,utility,N,C,f,beta,T,value,levels\n")
-        else:
-            assert code == 1 and len(lines) == 1 and lines[0].startswith("error:"), (code, lines)
+        assert_exit_0_or_1(["sweep", "--config", str(path), "--traces", str(small_cohort)],
+                           "family,utility,N,C,f,beta,T,value,levels\n")
 
     def test_empirical_family_needs_traces(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {**self.SWEEP, "family": {"kind": "empirical"}})
@@ -346,6 +401,25 @@ class TestSchedule:
         assert rows[1][3] == "1|0|0"
         assert rows[2][3] == "2|1|0"
         assert rows[2][4] == "0.650000"
+
+    @settings(deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_fuzzed_config_exits_0_or_1_with_one_error_line(self, small_cohort, data):
+        # the first pass takes the odd values; its lead time is also its probability lag
+        kind = data.draw(st.sampled_from(sorted(FAMILIES)))
+        probs = {"family": kind, "steps": 1, **FAMILIES[kind]}
+        config = {"rates": [100, 200], "N": 3,
+                  "size_model": {"mode": "svc_ideal", "overhead": 0.1},
+                  "passes": [{"lead_s": 5.0, "budget": 100, "probs": probs},
+                             {"lead_s": 1.0, "budget": 200, "probs": {"family": "uniform"}}]}
+        keys = INSTANCE_KEYS + ("size_model.mode", "size_model.overhead", "passes.0.lead_s",
+                                "passes.0.budget")
+        keys += tuple(f"passes.0.probs.{k}" for k in probs if k != "family")
+        draw_odd_keys(data, config, keys, ("rates",))
+        path = small_cohort.parent / "schedule-fuzz.json"
+        path.write_text(json.dumps(config))
+        assert_exit_0_or_1(["schedule", "--config", str(path), "--traces", str(small_cohort)],
+                           "pass,lead_s,budget,levels,value\n")
 
 
 class TestOracle:
@@ -407,6 +481,15 @@ class TestGenTraces:
     def test_out_is_required(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"kinds": ["constant"]})
         assert main(["gen-traces", "--config", cfg]) == 1
+
+    @pytest.mark.parametrize("duration, rate", [(1e12, 50), (1e300, 1e300)],
+                             ids=["364-TiB", "inf-samples"])
+    def test_oversized_trace_is_refused_before_allocation(self, tmp_path, duration, rate):
+        cfg = write_config(tmp_path, {"kinds": ["constant"], "count_per_kind": 1,
+                                      "duration_s": duration, "rate_hz": rate})
+        code, out, err = run_main(["gen-traces", "--config", cfg, "--out", str(tmp_path / "traces")])
+        lines = err.splitlines()
+        assert code == 1 and len(lines) == 1 and lines[0].startswith("error:"), (code, lines)
 
 
 class TestAnalyze:
@@ -491,6 +574,17 @@ class TestAnalyzeLimits:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0]
 
+    @pytest.mark.parametrize("command, config", [
+        ("analyze", {"metrics": ["yaw_change"], "stride_s": 2**63}),
+        ("solve", {**TOY_SOLVE, "probs": {"family": "empirical", "lag_s": 1.0, "stride_s": 10**19}}),
+    ], ids=["analyze-stride-2^63", "solve-stride-1e19"])
+    def test_integer_past_int64_in_a_number_key_runs(self, tmp_path, small_cohort, command,
+                                                      config):
+        # one window per trace; numpy could not hold the stride as an int64
+        code, out, err = run_main([command, "--config", write_config(tmp_path, config),
+                                   "--traces", str(small_cohort)])
+        assert code == 0 and err == ""
+
     NUMERIC_KEYS = ("stride_s", "vel_threshold_dps", "safety_angle_deg", "sector_deg", "split_s",
                     "yaw_bin_deg", "pitch_bin_deg", "pairwise_step_s")
     METRICS = ("utilization", "heatmap", "pairwise", "yaw_change", "velocity_error",
@@ -499,18 +593,10 @@ class TestAnalyzeLimits:
     @settings(deadline=None, max_examples=100)
     @given(data=st.data())
     def test_fuzzed_config_exits_0_or_1_with_one_error_line(self, small_cohort, data):
-        # one or two odd keys per config, so most draws get past parsing to the analytics
-        odd = st.sampled_from(ODD)
         config = {"metrics": data.draw(st.lists(st.sampled_from(self.METRICS), min_size=1,
                                                 max_size=3, unique=True))}
-        for key in data.draw(st.lists(st.sampled_from(("lags",) + self.NUMERIC_KEYS), min_size=1,
-                                      max_size=2, unique=True)):
-            config[key] = data.draw(odd | st.lists(odd, max_size=3) if key == "lags" else odd)
+        draw_odd_keys(data, config, ("lags",) + self.NUMERIC_KEYS, ("lags",))
         path = small_cohort.parent / "fuzz.json"
         path.write_text(json.dumps(config))
-        code, out, err = run_main(["analyze", "--config", str(path), "--traces", str(small_cohort)])
-        lines = err.splitlines()
-        if code == 0:
-            assert lines == [] and out.startswith("metric,group,stat,value\n")
-        else:
-            assert code == 1 and len(lines) == 1 and lines[0].startswith("error:"), (code, lines)
+        assert_exit_0_or_1(["analyze", "--config", str(path), "--traces", str(small_cohort)],
+                           "metric,group,stat,value\n")

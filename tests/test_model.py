@@ -178,7 +178,9 @@ class TestInstance:
             Instance(DirectionGrid(3), toy_ladder, UtilityModel("linear"),
                      np.array(probs), 100, 0.0)
 
-    @pytest.mark.parametrize("capacity", [-1, 1.5, np.nan, True, np.inf, "100"])
+    # from 2^63 up, int64 would wrap to a negative capacity
+    @pytest.mark.parametrize("capacity", [-1, 1.5, np.nan, True, np.inf, "100",
+                                          np.uint64(2**63), 1e19])
     def test_rejects_bad_capacity(self, toy_ladder, capacity):
         with pytest.raises(ValueError, match="nonnegative integer"):
             Instance(DirectionGrid(3), toy_ladder, UtilityModel("linear"),

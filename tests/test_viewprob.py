@@ -1,5 +1,7 @@
 """Probability vectors: analytic families, smoothing, and discretization."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -18,6 +20,7 @@ from prefetch360 import (
     uniform,
     wrapped_gaussian,
 )
+from prefetch360 import viewprob
 
 
 class TestProbVector:
@@ -73,12 +76,42 @@ class TestWrappedGaussian:
         p = wrapped_gaussian(1e4, grid6).probs
         np.testing.assert_allclose(p, np.full(6, 1 / 6), atol=1e-6)
 
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_sigma_is_the_exact_limit(self, grid6):
+        # the edges over sigma overflow to +-inf, where the CDF is exactly 0 or 1
+        p = wrapped_gaussian(5e-324, grid6).probs
+        np.testing.assert_array_equal(p, [0.5, 0.0, 0.0, 0.0, 0.0, 0.5])
+
     @given(st.integers(2, 12), st.floats(0.1, 1000.0, allow_nan=False))
     def test_sums_to_one_and_mirrors_about_zero(self, n_tiles, sigma):
         p = wrapped_gaussian(sigma, DirectionGrid(n_tiles)).probs
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
         # tile k and tile N-1-k cover mirrored arcs around the 0 line
         np.testing.assert_allclose(p, p[::-1], atol=1e-9)
+
+
+class TestNdtr:
+    """The Cephes port against the compiled routine it follows; skips without scipy."""
+
+    def test_equals_the_reference_bit_for_bit(self):
+        ndtr = pytest.importorskip("scipy.special").ndtr
+        # a few ulps on both sides of every branch cut of ndtr and erfc, x = a / sqrt(2)
+        cuts = np.array([math.sqrt(0.5), 1.0, 8.0, 27.0, math.sqrt(viewprob._MAXLOG)])
+        near = np.multiply.outer(cuts * math.sqrt(2.0), 1.0 + np.arange(-8, 9) * 2.0**-52)
+        x = near[-1] * math.sqrt(0.5)
+        assert np.any(-x * x < -viewprob._MAXLOG) and np.any(-x * x >= -viewprob._MAXLOG)
+        a = np.concatenate([np.linspace(-40.0, 40.0, 1_000_001), near.ravel(), -near.ravel(),
+                            [0.0, -0.0, np.inf, -np.inf, 1e300, -1e300, np.nan]])
+        assert np.array_equal(viewprob._ndtr(a), ndtr(a), equal_nan=True)
+
+    def test_wrapped_gaussian_equals_the_reference_build(self, monkeypatch):
+        ndtr = pytest.importorskip("scipy.special").ndtr
+        sigmas = [*np.geomspace(0.01, 500.0, 25), 1e3, 1e4, 1e5]
+        grids = [DirectionGrid(n) for n in range(2, 25)]
+        ours = [wrapped_gaussian(s, g).probs for g in grids for s in sigmas]
+        monkeypatch.setattr(viewprob, "_ndtr", ndtr)
+        reference = [wrapped_gaussian(s, g).probs for g in grids for s in sigmas]
+        assert all(np.array_equal(p, q) for p, q in zip(ours, reference))
 
 
 class TestCircularSmooth:
