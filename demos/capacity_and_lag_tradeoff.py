@@ -33,7 +33,7 @@ def levels_str(selection):
 def capacity_sweep():
     print("== capacity sweep, 20 s lead time, sigma = 25 * sqrt(T) ==")
     probs = wrapped_gaussian(25.0 * np.sqrt(20.0), GRID)
-    print(f"tile probabilities: {np.array2string(probs.probs, precision=3)}")
+    print(f"tile probabilities: {np.array2string(probs, precision=3)}")
     print(f"{'capacity':>9}  {'levels':<12} {'value':>8}  gain")
     capacities = (1250, 2500, 5000, 10000, 20000)
     # one DP pass at the top budget holds the optimum for every smaller one

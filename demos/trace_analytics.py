@@ -68,8 +68,7 @@ def data_driven_solve(traces):
     print(f"{'T (s)':>6}  {'empirical':>9}  {'uniform':>8}")
     utility = UtilityModel("large_screen")
     for lag in (1.0, 2.0, 5.0):
-        density = empirical_yaw_change(traces, lag)
-        probs = discretize(density, GRID)
+        probs = discretize(empirical_yaw_change(traces, lag), GRID)
         informed = solve_dp(Instance(GRID, LADDER, utility, probs, 5000, beta=0.1))
         fallback = solve_dp(Instance(GRID, LADDER, utility, uniform(GRID), 5000, beta=0.1))
         print(f"{lag:>6.1f}  {informed.value:>9.4f}  {fallback.value:>8.4f}")

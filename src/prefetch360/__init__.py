@@ -1,10 +1,10 @@
 """Tile-quality prefetch optimization for 360-degree video.
 
 The toolkit splits into five layers: a data model for planning slots
-(ladders, utilities, tile grids), viewing-direction probability builders,
-an exact optimizer for the per-slot selection problem, a layered prefetch
-scheduler that refines bookings as probabilities sharpen, and analytics
-over recorded head-motion traces.
+(ladders, utilities, tile grids), viewing-direction probability builders
+that return plain arrays, an exact optimizer for the per-slot selection
+problem, a layered prefetch scheduler that refines bookings as
+probabilities sharpen, and analytics over recorded head-motion traces.
 """
 
 from .angles import circ_diff_deg, circ_dist_deg, wrap_deg
@@ -63,8 +63,6 @@ from .traces import (
     yaw_changes,
 )
 from .viewprob import (
-    AngularDensity,
-    ProbVector,
     circular_smooth,
     discretize,
     empirical_yaw_change,
@@ -76,7 +74,6 @@ from .viewprob import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AngularDensity",
     "CATEGORIES",
     "Cdf",
     "DirectionGrid",
@@ -86,7 +83,6 @@ __all__ = [
     "PassResult",
     "PrefetchPass",
     "PrefetchPlan",
-    "ProbVector",
     "QualityLadder",
     "Selection",
     "SizeModel",

@@ -26,7 +26,6 @@ import numpy as np
 from .config import (
     ConfigError,
     _int,
-    build_probs,
     load_json,
     load_traces,
     parse_analyze,
@@ -36,6 +35,7 @@ from .config import (
     parse_schedule,
     parse_sweep,
     parse_utility,
+    sweep_probs,
 )
 from .model import (
     DirectionGrid,
@@ -75,6 +75,9 @@ REFERENCE_BANDS = (
 )
 
 ORACLE_TOL = 1e-9
+
+# random instances one oracle batch may check; 1,000 take under 2 s
+ORACLE_BATCH_LIMIT = 10**5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -154,19 +157,15 @@ def cmd_sweep(args) -> int:
         seen[model.kind] = True
         utilities.append((label, model))
 
-    # a sweep family is a probs block keyed by "kind"; lag index i sets "steps"
-    family = dict(spec["family"])
-    kind = family.pop("kind")
-    label = kind
-    if kind == "empirical" and family.get("category") is not None:
+    family = spec["family"]
+    label = family["kind"]
+    if label == "empirical" and family.get("category") is not None:
         label = f"empirical:{family['category']}"
     caps = spec["capacities"]
     results = []
     for n_tiles in spec["tile_counts"]:
         grid = DirectionGrid(n_tiles)
-        vectors = [build_probs({**family, "family": kind, "lag_s": lag, "steps": i},
-                               grid, getattr(args, "traces", None))
-                   for i, lag in enumerate(spec["lags"])]
+        vectors = sweep_probs(family, spec["lags"], grid, getattr(args, "traces", None))
         for f in spec["penalties"]:
             ladder = parse_ladder({"rates": spec["rates"], "delta": spec["delta"], "f": f})
             for ulabel, utility in utilities:
@@ -271,8 +270,9 @@ def cmd_oracle(args) -> int:
         if not isinstance(batch, dict):
             raise ConfigError("batch: expected an object")
         count = _int({"batch.count": batch.get("count", 100)}, "batch.count")
-        if count < 1:
-            raise ConfigError("batch.count: expected a positive integer")
+        if not 1 <= count <= ORACLE_BATCH_LIMIT:
+            raise ConfigError(f"batch.count: expected a positive integer of at most "
+                              f"{ORACLE_BATCH_LIMIT}")
         rng = np.random.default_rng(args.seed)
         for i in range(count):
             checks.append((f"batch[{i}]", _random_instance(rng)))
@@ -311,7 +311,6 @@ def cmd_oracle(args) -> int:
 def cmd_gen_traces(args) -> int:
     spec = parse_gen(load_json(args.config))
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     duration, rate = spec["duration_s"], spec["rate_hz"]
     written = []
     for k, kind in enumerate(spec["kinds"]):
@@ -335,6 +334,8 @@ def cmd_gen_traces(args) -> int:
             else:
                 trace = explore_then_fixate_trace(duration, rate, rng=rng,
                                                   video_id=kind, user_id=user)
+            # created only once a trace exists, so a refused config leaves nothing behind
+            out_dir.mkdir(parents=True, exist_ok=True)
             path = out_dir / f"{kind}_{i:03d}.csv"
             write_trace(trace, path)
             written.append(path.name)

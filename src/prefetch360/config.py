@@ -12,11 +12,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import DirectionGrid, Instance, QualityLadder, UtilityModel
+from .model import DirectionGrid, Instance, QualityLadder, UtilityModel, _as_prob_array
 from .scheduler import PrefetchPass, PrefetchPlan, SizeModel, _check_lead_time
-from .traces import CATEGORIES, parse_trace
+from .synth import EXPLORE_SPLIT_S, _sample_count
+from .traces import CATEGORIES, GRID_LIMIT, parse_trace
 from .viewprob import (
-    ProbVector,
     circular_smooth,
     discretize,
     empirical_yaw_change,
@@ -32,6 +32,7 @@ __all__ = [
     "parse_ladder",
     "parse_utility",
     "build_probs",
+    "sweep_probs",
     "parse_instance",
     "parse_schedule",
     "parse_sweep",
@@ -147,7 +148,7 @@ def load_traces(traces_dir, category: str | None = None) -> list:
     return traces
 
 
-def build_probs(spec: dict, grid: DirectionGrid, traces_dir=None) -> ProbVector:
+def build_probs(spec: dict, grid: DirectionGrid, traces_dir=None) -> np.ndarray:
     """Build a probability vector from a ``probs`` config block."""
     if not isinstance(spec, dict):
         raise ConfigError("probs: expected an object")
@@ -172,26 +173,41 @@ def build_probs(spec: dict, grid: DirectionGrid, traces_dir=None) -> ProbVector:
         if not isinstance(values, list):
             raise ConfigError("probs.values: expected a list")
         try:
-            return ProbVector(np.asarray(values, dtype=float))
+            return _as_prob_array(values)
         except ValueError as exc:
             raise ConfigError(f"probs: {exc}") from None
     if family == "convolved":
-        steps = _int(spec, "steps", 1)
-        if not 0 <= steps <= MAX_STEPS:
-            raise ConfigError(f"probs.steps: must be nonnegative and at most {MAX_STEPS}")
-        base = wrapped_gaussian(_number(spec, "base_sigma_deg", 15.0), grid)
-        kernel = wrapped_gaussian(_number(spec, "kernel_sigma_deg", 15.0), grid).probs
-        out = base
-        for _ in range(steps):
-            out = circular_smooth(out, kernel)
-        return out
+        return _convolved(spec, grid, _int(spec, "steps", 1))[-1]
     if family == "empirical":
         if lag <= 0:
             raise ConfigError("probs: empirical family needs lag_s > 0")
         traces = load_traces(traces_dir, spec.get("category"))
-        density = empirical_yaw_change(traces, lag, _number(spec, "stride_s", 0.1))
-        return discretize(density, grid)
+        masses = empirical_yaw_change(traces, lag, _number(spec, "stride_s", 0.1))
+        return discretize(masses, grid)
     raise ConfigError(f"probs: unknown family {family!r}")
+
+
+def _convolved(spec: dict, grid: DirectionGrid, steps: int) -> list:
+    """The convolved family after 0..steps smoothings, each from the one before."""
+    if not 0 <= steps <= MAX_STEPS:
+        raise ConfigError(f"probs.steps: must be nonnegative and at most {MAX_STEPS}")
+    vectors = [wrapped_gaussian(_number(spec, "base_sigma_deg", 15.0), grid)]
+    kernel = wrapped_gaussian(_number(spec, "kernel_sigma_deg", 15.0), grid)
+    for _ in range(steps):
+        vectors.append(circular_smooth(vectors[-1], kernel))
+    return vectors
+
+
+def sweep_probs(family: dict, lags, grid: DirectionGrid, traces_dir=None) -> list:
+    """One vector per sweep lag from a probs block keyed by ``kind``.
+
+    Lag index i sets ``lag_s = lags[i]`` and ``steps = i``, so each convolved
+    vector is the one before smoothed once more.
+    """
+    spec = {**family, "family": family["kind"]}
+    if family["kind"] == "convolved":
+        return _convolved(spec, grid, len(lags) - 1)
+    return [build_probs({**spec, "lag_s": lag}, grid, traces_dir) for lag in lags]
 
 
 def parse_instance(cfg: dict, traces_dir=None) -> Instance:
@@ -249,7 +265,13 @@ def parse_schedule(cfg: dict, traces_dir=None):
 
 
 def parse_sweep(cfg: dict) -> dict:
-    """Normalize a sweep config; scalar knobs become one-element lists."""
+    """Normalize a sweep config; scalar knobs become one-element lists.
+
+    Only ``capacity`` may be empty: an empty knob would skip every other check.
+    """
+    for key in ("N", "f", "beta", "utility", "lags"):
+        if cfg.get(key) == []:
+            raise ConfigError(f"{key}: expected a non-empty list")
     out = {
         "rates": _require(cfg, "rates"),
         "delta": _number(cfg, "delta", 1.0),
@@ -271,8 +293,11 @@ def parse_sweep(cfg: dict) -> dict:
 
 
 def parse_gen(cfg: dict) -> dict:
-    kinds = _as_list(cfg.get("kinds", ["constant", "rotation", "sinusoid", "uniform", "walk", "explore"]))
+    """Normalize a gen-traces config, refusing any cohort a generator would refuse."""
     known = ("constant", "rotation", "sinusoid", "uniform", "walk", "explore")
+    kinds = _as_list(cfg.get("kinds", list(known)))
+    if not kinds:
+        raise ConfigError("kinds: expected a non-empty list")
     for kind in kinds:
         if kind not in known:
             raise ConfigError(f"kinds: unknown generator {kind!r}")
@@ -281,8 +306,15 @@ def parse_gen(cfg: dict) -> dict:
         raise ConfigError("count_per_kind: must be at least 1")
     duration = _number(cfg, "duration_s", 60.0)
     rate = _number(cfg, "rate_hz", 50.0)
-    if duration <= 0 or rate <= 0:
-        raise ConfigError("duration_s and rate_hz must be positive")
+    try:
+        samples = _sample_count(duration, rate)
+    except ValueError as exc:
+        raise ConfigError(f"duration_s and rate_hz: {exc}") from None
+    if "explore" in kinds and not duration > EXPLORE_SPLIT_S:
+        raise ConfigError(f"duration_s: the explore kind needs more than {EXPLORE_SPLIT_S:g} s")
+    if count * len(kinds) * samples > GRID_LIMIT:
+        raise ConfigError(f"count_per_kind: {count} per kind x {len(kinds)} kinds x {samples} "
+                          f"samples is more than {GRID_LIMIT} samples in all")
     return {"kinds": kinds, "count": count, "duration_s": duration, "rate_hz": rate}
 
 

@@ -178,12 +178,12 @@ class DirectionGrid:
 
 
 def _as_prob_array(probs, n_tiles: int | None = None, name: str = "probabilities") -> np.ndarray:
-    """The one probability-vector check: a bare array or anything exposing ``.probs``.
+    """The one probability-vector check: ``probs`` as a float64 array.
 
     The vector must have ``n_tiles`` entries when given, else be 1-D with at
     least two, and be finite, nonnegative and sum to 1 within PROB_SUM_TOL.
     """
-    p = np.asarray(getattr(probs, "probs", probs), dtype=float)
+    p = np.asarray(probs, dtype=float)
     if n_tiles is None:
         if p.ndim != 1 or p.size < 2:
             raise ValueError("need a 1-D vector with at least two tiles")
@@ -220,10 +220,10 @@ class Instance:
     """One planning slot: what to optimize and under which budget.
 
     ``capacity`` is the downlink budget D * chunk_s in the same integer units
-    as tile sizes.  ``probs`` may be a bare array or anything exposing a
-    ``.probs`` array (a ProbVector).  The per-tile ``sizes``/``utilities``
-    overrides exist for layered refinement, where already-cached levels cost
-    nothing; both default to the shared ladder tables.
+    as tile sizes.  ``probs`` is any array-like of tile probabilities.  The
+    per-tile ``sizes``/``utilities`` overrides exist for layered refinement,
+    where already-cached levels cost nothing; both default to the shared
+    ladder tables.
     """
 
     grid: DirectionGrid

@@ -20,14 +20,25 @@ __all__ = [
     "explore_then_fixate_trace",
 ]
 
+# when an explore-then-fixate viewer stops exploring
+EXPLORE_SPLIT_S = 20.0
 
-def _grid(duration_s: float, rate_hz: float) -> np.ndarray:
+
+def _sample_count(duration_s: float, rate_hz: float) -> int:
+    """Samples in a generated trace: from 2 up to GRID_LIMIT."""
     if not (duration_s > 0 and rate_hz > 0):
         raise ValueError("duration and rate must be positive")
     # bounded as a float, which may be inf, before it becomes a sample count
     if not duration_s * rate_hz < GRID_LIMIT:
         raise ValueError(f"duration times rate must stay below {GRID_LIMIT} samples per trace")
-    return np.arange(int(round(duration_s * rate_hz)) + 1) / rate_hz
+    count = int(round(duration_s * rate_hz)) + 1
+    if count < 2:
+        raise ValueError("duration times rate must give a trace at least two samples")
+    return count
+
+
+def _grid(duration_s: float, rate_hz: float) -> np.ndarray:
+    return np.arange(_sample_count(duration_s, rate_hz)) / rate_hz
 
 
 def _assemble(t, yaw, yaw_vel, video_id, user_id, category) -> HeadTrace:
@@ -97,7 +108,7 @@ def random_walk_trace(duration_s: float = 60.0, rate_hz: float = 100.0,
 
 
 def explore_then_fixate_trace(duration_s: float = 60.0, rate_hz: float = 100.0,
-                              split_s: float = 20.0, step_sigma_deg: float = 2.0,
+                              split_s: float = EXPLORE_SPLIT_S, step_sigma_deg: float = 2.0,
                               rng: np.random.Generator | None = None,
                               video_id: str = "synthetic-explore", user_id: str = "u0") -> HeadTrace:
     """Random walk until split_s, then a hard fixation on the last direction."""

@@ -95,8 +95,8 @@ def test_c02_knapsack_reduction_is_exact_at_beta_zero():
 
 def test_c03_reference_selections_feasible_but_values_unreproducible(ladder6, grid6):
     rng = np.random.default_rng(7)
-    probe = [uniform(grid6).probs, wrapped_gaussian(111.803, grid6).probs,
-             wrapped_gaussian(30.0, grid6).probs]
+    probe = [uniform(grid6), wrapped_gaussian(111.803, grid6),
+             wrapped_gaussian(30.0, grid6)]
     probe += [rng.dirichlet(np.ones(6)) for _ in range(5)]
 
     linear = UtilityModel("linear")
@@ -157,7 +157,7 @@ def test_c05_capacity_monotone_with_diminishing_returns(ladder6, grid6):
 
 def test_c06_convolution_family_values_nonincreasing_in_lag(ladder6, grid6):
     vectors = [wrapped_gaussian(20.0, grid6)]
-    kernel = wrapped_gaussian(15.0, grid6).probs
+    kernel = wrapped_gaussian(15.0, grid6)
     for _ in range(5):
         vectors.append(circular_smooth(vectors[-1], kernel))
     utility = UtilityModel("linear")

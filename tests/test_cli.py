@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -26,7 +27,7 @@ from prefetch360 import (
     UtilityModel,
     eval_objective,
 )
-from prefetch360.cli import main
+from prefetch360.cli import ORACLE_BATCH_LIMIT, main
 from prefetch360.optimizer import SolveStats
 
 from conftest import SIX_LEVEL_RATES, TOY_PROBS
@@ -78,6 +79,7 @@ def assert_exit_0_or_1(argv, header):
         assert lines == [] and out.startswith(header)
     else:
         assert code == 1 and len(lines) == 1 and lines[0].startswith("error:"), (code, lines)
+    return code
 
 
 def one_pass_schedule(**keys):
@@ -215,6 +217,16 @@ class TestExitCodes:
         ("analyze", {"lags": [None]}, "lags"),
         ("analyze", {"lags": [math.nan]}, "lags"),
         ("oracle", {"batch": {"count": True}}, "batch.count"),
+        ("oracle", {"batch": {"count": ORACLE_BATCH_LIMIT + 1}}, "batch.count"),
+        ("oracle", {"batch": {"count": 10**18}}, "batch.count"),
+        ("oracle", {"batch": {"count": 2**63}}, "batch.count"),
+        ("sweep", {**SWEEP, "N": [], "rates": "garbage", "family": {"kind": "bogus"}},
+         "N: expected a non-empty list"),
+        ("sweep", {**SWEEP, "f": [], "rates": "garbage"}, "f: expected a non-empty list"),
+        ("sweep", {**SWEEP, "beta": []}, "beta: expected a non-empty list"),
+        ("sweep", {**SWEEP, "utility": []}, "utility: expected a non-empty list"),
+        ("sweep", {**SWEEP, "lags": [], "family": {"kind": "bogus"}},
+         "lags: expected a non-empty list"),
     ], ids=["sweep-capacity-null", "sweep-N-null", "sweep-lag-null", "sweep-sigma0-null",
             "sweep-capacity-fraction", "sweep-capacity-negative", "sweep-beta-bool",
             "sweep-lag-nan", "solve-rate-null", "solve-lag-negative", "solve-lag-nan",
@@ -222,7 +234,10 @@ class TestExitCodes:
             "solve-steps-1001", "solve-steps-1e18", "schedule-probs-number",
             "schedule-budget-2^63", "schedule-budget-1e19", "schedule-budget-2^64-1",
             "schedule-lead-negative", "schedule-lead-nan",
-            "analyze-lag-null", "analyze-lag-nan", "oracle-count-bool"])
+            "analyze-lag-null", "analyze-lag-nan", "oracle-count-bool",
+            "oracle-count-over-the-limit", "oracle-count-1e18", "oracle-count-2^63",
+            "sweep-N-empty", "sweep-f-empty", "sweep-beta-empty", "sweep-utility-empty",
+            "sweep-lags-empty"])
     def test_malformed_config_names_the_key(self, tmp_path, capsys, command, config, key):
         cfg = write_config(tmp_path, config)
         assert main([command, "--config", cfg]) == 1
@@ -362,6 +377,28 @@ class TestSweep:
             assert float(row[7]) == pytest.approx(payload["value"], abs=1e-6)
             assert row[8] == "|".join(str(level) for level in payload["levels"])
 
+    def test_convolved_sweep_smooths_once_per_extra_lag(self, tmp_path, monkeypatch):
+        # lag i is lag i-1 smoothed once more, with the bytes of a per-lag build
+        from prefetch360 import cli, config
+
+        lags = [float(t) for t in range(1, 21)]
+        family = {"kind": "convolved", "base_sigma_deg": 20.0, "kernel_sigma_deg": 40.0}
+        cfg = write_config(tmp_path, {**self.SWEEP, "N": [4, 6], "lags": lags, "family": family})
+        calls = []
+        smooth = config.circular_smooth
+        monkeypatch.setattr(config, "circular_smooth",
+                            lambda p, kernel: calls.append(1) or smooth(p, kernel))
+        code, out, err = run_main(["sweep", "--config", cfg])
+        assert code == 0 and err == "" and len(calls) == 2 * (len(lags) - 1)
+
+        def per_lag(family, lags, grid, traces_dir=None):
+            spec = {**family, "family": family["kind"]}
+            return [config.build_probs({**spec, "lag_s": lag, "steps": i}, grid)
+                    for i, lag in enumerate(lags)]
+
+        monkeypatch.setattr(cli, "sweep_probs", per_lag)
+        assert run_main(["sweep", "--config", cfg]) == (0, out, "")
+
     LIST_KEYS = ("lags", "N", "capacity", "beta", "f")
 
     @settings(deadline=None, max_examples=100)
@@ -454,6 +491,23 @@ class TestOracle:
         cfg = write_config(tmp_path, {"batch": {"count": 0}})
         assert main(["oracle", "--config", cfg]) == 1
 
+    @settings(deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_fuzzed_config_exits_0_or_1_with_one_error_line(self, small_cohort, data):
+        # a random batch, or one instance of any family as solve reads it
+        if data.draw(st.booleans()):
+            config = {"batch": {"count": 3}}
+            keys = ("batch.count",)
+        else:
+            kind = data.draw(st.sampled_from(sorted(FAMILIES)))
+            probs = {"family": kind, "lag_s": 1.0, "steps": 1, **FAMILIES[kind]}
+            config = {"rates": [100, 200], "N": 3, "capacity": 300, "probs": probs}
+            keys = INSTANCE_KEYS + ("capacity",) + tuple(f"probs.{k}" for k in probs if k != "family")
+        draw_odd_keys(data, config, keys, ("rates",))
+        path = small_cohort.parent / "oracle-fuzz.json"
+        path.write_text(json.dumps(config))
+        assert_exit_0_or_1(["oracle", "--config", str(path), "--traces", str(small_cohort)], "{")
+
 
 class TestGenTraces:
     def test_writes_expected_files(self, tmp_path, capsys):
@@ -487,9 +541,41 @@ class TestGenTraces:
     def test_oversized_trace_is_refused_before_allocation(self, tmp_path, duration, rate):
         cfg = write_config(tmp_path, {"kinds": ["constant"], "count_per_kind": 1,
                                       "duration_s": duration, "rate_hz": rate})
-        code, out, err = run_main(["gen-traces", "--config", cfg, "--out", str(tmp_path / "traces")])
+        out_dir = tmp_path / "traces"
+        code, out, err = run_main(["gen-traces", "--config", cfg, "--out", str(out_dir)])
         lines = err.splitlines()
         assert code == 1 and len(lines) == 1 and lines[0].startswith("error:"), (code, lines)
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("config, key", [
+        ({"kinds": ["constant", "explore"], "duration_s": 10}, "duration_s"),
+        ({"kinds": ["walk"], "duration_s": 0.5, "rate_hz": 1}, "duration_s"),
+        ({"kinds": ["constant"], "count_per_kind": 10**18, "duration_s": 5}, "count_per_kind"),
+        ({"kinds": ["constant"], "count_per_kind": 2**63, "duration_s": 5}, "count_per_kind"),
+        ({"kinds": []}, "kinds"),
+    ], ids=["explore-before-its-split", "one-sample", "count-1e18", "count-2^63",
+            "no-kinds"])
+    def test_refused_config_creates_nothing(self, tmp_path, config, key):
+        out = tmp_path / "traces"
+        code, _, err = run_main(["gen-traces", "--config", write_config(tmp_path, config),
+                                 "--out", str(out)])
+        lines = err.splitlines()
+        assert code == 1 and len(lines) == 1 and lines[0].startswith("error:") and key in lines[0]
+        assert not out.exists()
+
+    @settings(deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_fuzzed_config_exits_0_or_1_with_one_error_line(self, small_cohort, data):
+        config = {"kinds": ["constant", "explore"], "count_per_kind": 1, "duration_s": 30,
+                  "rate_hz": 5}
+        draw_odd_keys(data, config, tuple(config), ("kinds",))
+        path = small_cohort.parent / "gen-fuzz.json"
+        path.write_text(json.dumps(config))
+        out = small_cohort.parent / "gen-fuzz"
+        shutil.rmtree(out, ignore_errors=True)
+        code = assert_exit_0_or_1(["gen-traces", "--config", str(path), "--out", str(out)],
+                                  '{\n  "dir"')
+        assert code == 0 or not out.exists()
 
 
 class TestAnalyze:
@@ -600,3 +686,13 @@ class TestAnalyzeLimits:
         path.write_text(json.dumps(config))
         assert_exit_0_or_1(["analyze", "--config", str(path), "--traces", str(small_cohort)],
                            "metric,group,stat,value\n")
+
+
+@pytest.mark.parametrize("demo", ["capacity_and_lag_tradeoff", "layered_refinement",
+                                  "trace_analytics"])
+def test_demo_stdout_is_pinned(demo):
+    # demos/expected holds each demo's stdout, byte for byte
+    demos = Path(__file__).resolve().parents[1] / "demos"
+    proc = run_python(str(demos / f"{demo}.py"))
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == (demos / "expected" / f"{demo}.txt").read_text()

@@ -84,22 +84,22 @@ class TestLadderAndUtility:
 class TestBuildProbs:
     def test_uniform_and_point_mass(self, grid):
         p = build_probs({"family": "uniform", "lag_s": 2.0}, grid)
-        np.testing.assert_array_equal(p.probs, np.full(6, 1 / 6))
+        np.testing.assert_array_equal(p, np.full(6, 1 / 6))
         p = build_probs({"family": "point_mass", "angle_deg": 70.0}, grid)
-        assert p.probs[1] == 1.0
+        assert p[1] == 1.0
 
     def test_wrapped_gaussian_families(self, grid):
         fixed = build_probs({"family": "wrapped_gaussian", "sigma_deg": 30.0}, grid)
         grown = build_probs({"family": "wrapped_gaussian_sqrt", "sigma0_deg": 30.0,
                              "lag_s": 1.0}, grid)
-        np.testing.assert_array_equal(fixed.probs, grown.probs)
+        np.testing.assert_array_equal(fixed, grown)
         with pytest.raises(ConfigError, match="lag_s > 0"):
             build_probs({"family": "wrapped_gaussian_sqrt"}, grid)
 
     def test_explicit_values(self, grid):
         p = build_probs({"family": "explicit",
                          "values": [0.5, 0.1, 0.1, 0.1, 0.1, 0.1]}, grid)
-        assert p.probs[0] == 0.5
+        assert p[0] == 0.5
         with pytest.raises(ConfigError, match="sum to 1"):
             build_probs({"family": "explicit", "values": [1.0] * 6}, grid)
 
@@ -109,7 +109,7 @@ class TestBuildProbs:
         smoothed = build_probs({"family": "convolved", "base_sigma_deg": 20.0,
                                 "kernel_sigma_deg": 15.0, "steps": 3}, grid)
         # smoothing pulls mass off the front pair
-        assert smoothed.probs[0] < base.probs[0]
+        assert smoothed[0] < base[0]
         with pytest.raises(ConfigError, match="nonnegative"):
             build_probs({"family": "convolved", "steps": -1}, grid)
 
@@ -117,9 +117,9 @@ class TestBuildProbs:
         with pytest.raises(ConfigError, match="pass --traces"):
             build_probs({"family": "empirical", "lag_s": 1.0}, grid, None)
         p = build_probs({"family": "empirical", "lag_s": 1.0}, grid, trace_dir)
-        assert p.probs[0] == pytest.approx(1.0)  # fixed gazes never move
+        assert p[0] == pytest.approx(1.0)  # fixed gazes never move
         lifetime = build_probs({"family": "empirical", "lag_s": np.inf}, grid, trace_dir)
-        assert lifetime.probs[0] == pytest.approx(1.0)
+        assert lifetime[0] == pytest.approx(1.0)
 
     def test_unknown_family(self, grid):
         with pytest.raises(ConfigError, match="unknown family"):
@@ -160,7 +160,7 @@ class TestParseSchedule:
         assert size_model.mode == "svc_ideal"
         # the pass lead time doubles as the default probability lag
         at_lead = build_probs({**grown, "lag_s": 20.0}, DirectionGrid(3))
-        np.testing.assert_array_equal(plan.passes[0].probs.probs, at_lead.probs)
+        np.testing.assert_array_equal(plan.passes[0].probs, at_lead)
 
     def test_size_model_block(self):
         cfg = {"rates": [100], "N": 2, "size_model": {"mode": "redownload", "overhead": 0.2},
@@ -211,6 +211,18 @@ class TestParseGenAndAnalyze:
             parse_gen({"kinds": ["teleport"]})
         with pytest.raises(ConfigError, match="at least 1"):
             parse_gen({"count_per_kind": 0})
+
+    def test_gen_bounds_the_cohort_before_any_trace(self):
+        # ten traces of 10^6 samples fill GRID_LIMIT exactly; an eleventh is refused
+        spec = {"kinds": ["constant"], "duration_s": 99999.9, "rate_hz": 10}
+        assert parse_gen({**spec, "count_per_kind": 10})["count"] == 10
+        with pytest.raises(ConfigError, match="count_per_kind"):
+            parse_gen({**spec, "count_per_kind": 11})
+
+    def test_gen_explore_needs_time_past_its_split(self):
+        assert parse_gen({"kinds": ["explore"], "duration_s": 20.5})["kinds"] == ["explore"]
+        with pytest.raises(ConfigError, match="duration_s"):
+            parse_gen({"kinds": ["explore"], "duration_s": 20})
 
     def test_analyze_defaults_and_validation(self):
         spec = parse_analyze({})

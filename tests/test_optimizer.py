@@ -158,7 +158,7 @@ class TestStructuralProperties:
         assert report.value == pytest.approx(1.0, abs=1e-12)
 
     def test_probability_rotation_rotates_the_selection_value(self, ladder6, grid6):
-        probs = wrapped_gaussian(45.0, grid6).probs
+        probs = wrapped_gaussian(45.0, grid6)
         for shift in (1, 3):
             base = solve_dp(Instance(grid6, ladder6, UtilityModel("linear"),
                                      probs, 3000, 0.25))
