@@ -55,12 +55,10 @@ from .traces import (
     parse_trace,
     phase_split_cdf,
     rebase_yaw,
-    resample,
     velocity_prediction_error,
     write_trace,
     yaw_at,
     yaw_change_cdf,
-    yaw_changes,
 )
 from .viewprob import (
     circular_smooth,
@@ -111,7 +109,6 @@ __all__ = [
     "random_walk_trace",
     "rebase_yaw",
     "refine",
-    "resample",
     "run_plan",
     "selection_size",
     "sinusoid_trace",
@@ -126,5 +123,4 @@ __all__ = [
     "write_trace",
     "yaw_at",
     "yaw_change_cdf",
-    "yaw_changes",
 ]

@@ -31,11 +31,8 @@ from .config import (
     parse_analyze,
     parse_gen,
     parse_instance,
-    parse_ladder,
     parse_schedule,
     parse_sweep,
-    parse_utility,
-    sweep_probs,
 )
 from .model import (
     DirectionGrid,
@@ -148,35 +145,20 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    spec = parse_sweep(load_json(args.config))
-    utilities = []
-    seen = {}
-    for i, block in enumerate(spec["utilities"]):
-        model = parse_utility({"utility": block})
-        label = model.kind if model.kind not in seen else f"{model.kind}#{i}"
-        seen[model.kind] = True
-        utilities.append((label, model))
-
-    family = spec["family"]
-    label = family["kind"]
-    if label == "empirical" and family.get("category") is not None:
-        label = f"empirical:{family['category']}"
-    caps = spec["capacities"]
+    label, caps, betas, lags, ladders, utilities, grids = parse_sweep(
+        load_json(args.config), getattr(args, "traces", None))
     results = []
-    for n_tiles in spec["tile_counts"]:
-        grid = DirectionGrid(n_tiles)
-        vectors = sweep_probs(family, spec["lags"], grid, getattr(args, "traces", None))
-        for f in spec["penalties"]:
-            ladder = parse_ladder({"rates": spec["rates"], "delta": spec["delta"], "f": f})
+    for grid, vectors in grids:
+        for f, ladder in ladders:
             for ulabel, utility in utilities:
-                for beta in spec["betas"] if caps else ():
-                    for lag, probs in zip(spec["lags"], vectors):
+                for beta in betas if caps else ():
+                    for lag, probs in zip(lags, vectors):
                         # one DP at the largest budget answers every capacity of the group
                         inst = Instance(grid, ladder, utility, probs, max(caps), beta)
                         report = solve_dp(inst, caps)
                         for cap, selection in zip(caps, report.selections):
                             # row values re-evaluate bit-exactly by construction
-                            results.append((label, ulabel, n_tiles, cap, f, beta, lag,
+                            results.append((label, ulabel, grid.n_tiles, cap, f, beta, lag,
                                             eval_objective(selection, inst),
                                             "|".join(str(l) for l in selection.levels)))
 

@@ -7,12 +7,22 @@ Errors raise ConfigError with the offending key in the message.
 """
 
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .model import DirectionGrid, Instance, QualityLadder, UtilityModel, _as_prob_array
+from .model import (
+    DirectionGrid,
+    Instance,
+    QualityLadder,
+    UtilityModel,
+    _as_nonneg_ints,
+    _as_prob_array,
+    _check_beta,
+)
+from .optimizer import _check_parents_table
 from .scheduler import PrefetchPass, PrefetchPlan, SizeModel, _check_lead_time
 from .synth import EXPLORE_SPLIT_S, _sample_count
 from .traces import CATEGORIES, GRID_LIMIT, parse_trace
@@ -167,7 +177,8 @@ def build_probs(spec: dict, grid: DirectionGrid, traces_dir=None) -> np.ndarray:
         sigma0 = _number(spec, "sigma0_deg", 25.0)
         if lag <= 0:
             raise ConfigError("probs: wrapped_gaussian_sqrt needs lag_s > 0")
-        return wrapped_gaussian(sigma0 * np.sqrt(lag), grid)
+        # Python floats overflow to inf without a warning; wrapped_gaussian refuses it
+        return wrapped_gaussian(sigma0 * math.sqrt(lag), grid)
     if family == "explicit":
         values = _require(spec, "values")
         if not isinstance(values, list):
@@ -264,32 +275,52 @@ def parse_schedule(cfg: dict, traces_dir=None):
     return plan, ladder, utility, beta, size_model
 
 
-def parse_sweep(cfg: dict) -> dict:
-    """Normalize a sweep config; scalar knobs become one-element lists.
+def parse_sweep(cfg: dict, traces_dir=None):
+    """Check a whole sweep config and build every axis, before any solve.
 
-    Only ``capacity`` may be empty: an empty knob would skip every other check.
+    Returns (label, capacities, betas, lags, ladders, utilities, grids):
+    ``(f, ladder)`` and ``(label, utility)`` pairs, and one ``(grid, vectors)``
+    pair per ``N`` with one vector per lag.  Scalar knobs count as one-element
+    lists; only ``capacity`` may be empty, since an empty knob would skip every
+    other check.
     """
     for key in ("N", "f", "beta", "utility", "lags"):
         if cfg.get(key) == []:
             raise ConfigError(f"{key}: expected a non-empty list")
-    out = {
-        "rates": _require(cfg, "rates"),
-        "delta": _number(cfg, "delta", 1.0),
-        "capacities": _each(cfg, "capacity", _int),
-        "betas": [float(b) for b in _each(cfg, "beta", _number, 0.0)],
-        "penalties": [float(f) for f in _each(cfg, "f", _number, 1.0)],
-        "tile_counts": _each(cfg, "N", _int),
-        "utilities": _as_list(cfg.get("utility", {"kind": "linear"})),
-        "lags": [float(t) for t in _each(cfg, "lags", _number)],
-        "family": cfg.get("family", {"kind": "uniform"}),
-    }
-    if not isinstance(out["family"], dict) or "kind" not in out["family"]:
+    family = cfg.get("family", {"kind": "uniform"})
+    if not isinstance(family, dict) or "kind" not in family:
         raise ConfigError("family: expected an object with a 'kind'")
-    if not all(t > 0 for t in out["lags"]):
+    label = family["kind"]
+    if label == "empirical" and family.get("category") is not None:
+        label = f"empirical:{family['category']}"
+    lags = _each(cfg, "lags", _number)
+    if not all(t > 0 for t in lags):
         raise ConfigError("lags: must be positive")
-    if any(b <= a for a, b in zip(out["lags"], out["lags"][1:])):
+    if any(b <= a for a, b in zip(lags, lags[1:])):
         raise ConfigError("lags: must be strictly increasing")
-    return out
+    caps = _each(cfg, "capacity", _int)
+    betas = _each(cfg, "beta", _number, 0.0)
+    try:
+        caps = _as_nonneg_ints(caps, "capacity", ndim=1).tolist()
+        for beta in betas:
+            _check_beta(beta)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    ladders = [(f, parse_ladder({**cfg, "f": f})) for f in _each(cfg, "f", _number, 1.0)]
+    models = [parse_utility({"utility": block})
+              for block in _as_list(cfg.get("utility", {"kind": "linear"}))]
+    utilities = [(m.kind if m.kind not in [k.kind for k in models[:i]] else f"{m.kind}#{i}", m)
+                 for i, m in enumerate(models)]
+    grids = []
+    for n_tiles in _each(cfg, "N", _int):
+        try:
+            grid = DirectionGrid(n_tiles)
+            if caps:
+                _check_parents_table(ladders[0][1].n_levels + 1, grid.n_tiles, max(caps))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        grids.append((grid, sweep_probs(family, lags, grid, traces_dir)))
+    return label, caps, betas, lags, ladders, utilities, grids
 
 
 def parse_gen(cfg: dict) -> dict:
@@ -298,9 +329,11 @@ def parse_gen(cfg: dict) -> dict:
     kinds = _as_list(cfg.get("kinds", list(known)))
     if not kinds:
         raise ConfigError("kinds: expected a non-empty list")
-    for kind in kinds:
+    for i, kind in enumerate(kinds):
         if kind not in known:
             raise ConfigError(f"kinds: unknown generator {kind!r}")
+        if kind in kinds[:i]:
+            raise ConfigError(f"kinds: generator {kind!r} is listed twice")
     count = _int(cfg, "count_per_kind", 2)
     if count < 1:
         raise ConfigError("count_per_kind: must be at least 1")
@@ -325,7 +358,9 @@ def parse_analyze(cfg: dict) -> dict:
     for metric in metrics:
         if metric not in known:
             raise ConfigError(f"metrics: unknown metric {metric!r}")
-    lags = [float(t) for t in _each(cfg, "lags", _number, [1.0])]
+    lags = _each(cfg, "lags", _number, [1.0])
+    if not lags:
+        raise ConfigError("lags: expected a non-empty list")
     if not all(t > 0 for t in lags):
         raise ConfigError("lags: must be positive")
     out = {

@@ -22,8 +22,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .angles import wrap_deg
-
 __all__ = [
     "UTILITY_KINDS",
     "QualityLadder",
@@ -71,8 +69,9 @@ class QualityLadder:
             raise ValueError("ladder rates must be strictly increasing")
         if not self.chunk_s > 0:
             raise ValueError("chunk duration must be positive")
-        # exact in float64, and MAX_TILES of them still add up inside int64
-        if not arr[-1] * self.chunk_s < 2.0**53:
+        # exact in float64, and MAX_TILES of them still add up inside int64;
+        # a Python float product overflows to inf without a warning
+        if not rates[-1] * self.chunk_s < 2.0**53:
             raise ValueError("chunk duration times the top rate must stay below 2^53 units")
         if not 0 <= self.stall_penalty < np.inf:
             raise ValueError("stall penalty must be finite and nonnegative")
@@ -166,10 +165,6 @@ class DirectionGrid:
     def tile_width_deg(self) -> float:
         return 360.0 / self.n_tiles
 
-    def tile_start_deg(self, n) -> np.ndarray:
-        """Left edge of tile n, wrapped into [-180, 180)."""
-        return wrap_deg(np.asarray(n) * self.tile_width_deg)
-
     def tile_index(self, angle_deg):
         """Index of the tile containing the given angle(s)."""
         rel = np.mod(np.asarray(angle_deg, dtype=float), 360.0)
@@ -215,6 +210,12 @@ def _as_nonneg_ints(values, name: str, ndim: int = 0) -> np.ndarray:
     return a.astype(np.int64)
 
 
+def _check_beta(beta) -> None:
+    """The one smoothness-weight check."""
+    if not 0.0 <= beta <= 1.0:
+        raise ValueError("beta must lie in [0, 1]")
+
+
 @dataclass(frozen=True, eq=False)
 class Instance:
     """One planning slot: what to optimize and under which budget.
@@ -240,8 +241,7 @@ class Instance:
         width = self.ladder.n_levels + 1
         object.__setattr__(self, "probs", _as_prob_array(self.probs, n))
         object.__setattr__(self, "capacity", int(_as_nonneg_ints(self.capacity, "capacity")))
-        if not (0.0 <= self.beta <= 1.0):
-            raise ValueError("beta must lie in [0, 1]")
+        _check_beta(self.beta)
         if self.sizes is not None:
             if np.shape(self.sizes) != (n, width):
                 raise ValueError(f"size table must have shape ({n}, {width})")

@@ -71,6 +71,13 @@ def _weights(inst: Instance):
     return expect_w, edge_w
 
 
+def _check_parents_table(n_levels: int, n_tiles: int, capacity: int) -> None:
+    """Refuse an int16 parents table over PARENTS_TABLE_LIMIT; n_levels counts level 0."""
+    table_bytes = n_levels * n_levels * n_tiles * (capacity + 1) * 2
+    if table_bytes > PARENTS_TABLE_LIMIT:
+        raise ValueError(f"DP parents table needs {table_bytes} bytes, over {PARENTS_TABLE_LIMIT}")
+
+
 def _dp_run(inst: Instance, columns):
     grid_n = inst.grid.n_tiles
     utility = inst.utility_table
@@ -79,9 +86,7 @@ def _dp_run(inst: Instance, columns):
     cap = inst.capacity
     expect_w, edge_w = _weights(inst)
 
-    table_bytes = n_levels * n_levels * grid_n * (cap + 1) * 2
-    if table_bytes > PARENTS_TABLE_LIMIT:
-        raise ValueError(f"DP parents table needs {table_bytes} bytes, over {PARENTS_TABLE_LIMIT}")
+    _check_parents_table(n_levels, grid_n, cap)
     parents = np.full((n_levels, n_levels, grid_n, cap + 1), -1, dtype=np.int16)
 
     # final[l0, k]: best ring value with tile 0 at l0 within budget columns[k]

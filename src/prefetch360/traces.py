@@ -34,9 +34,7 @@ __all__ = [
     "parse_trace",
     "write_trace",
     "rebase_yaw",
-    "resample",
     "yaw_at",
-    "yaw_changes",
     "angle_utilization_cdf",
     "heatmap",
     "pairwise_angular_difference",
@@ -196,32 +194,6 @@ def rebase_yaw(trace: HeadTrace) -> HeadTrace:
     return replace(trace, yaw=wrap_deg(trace.yaw - trace.yaw[0]))
 
 
-def resample(trace: HeadTrace, rate_hz: float) -> HeadTrace:
-    """Resample to a uniform rate, keeping both endpoints.
-
-    Yaw and roll are interpolated along the shorter circular arc, so a step
-    from 170 to -170 passes through +-180 rather than sweeping through 0.
-    Pitch and velocities are interpolated linearly.
-    """
-    if not rate_hz > 0:
-        raise ValueError("resample rate must be positive")
-    t0, t1 = float(trace.t[0]), float(trace.t[-1])
-    count = int(np.floor((t1 - t0) * rate_hz + _EPS)) + 1
-    times = t0 + np.arange(count) / rate_hz
-    if t1 - times[-1] > _EPS:
-        times = np.append(times, t1)
-    return replace(
-        trace,
-        t=times,
-        yaw=interp_angle_deg(times, trace.t, trace.yaw),
-        pitch=np.interp(times, trace.t, trace.pitch),
-        roll=interp_angle_deg(times, trace.t, trace.roll),
-        yaw_vel=np.interp(times, trace.t, trace.yaw_vel),
-        pitch_vel=np.interp(times, trace.t, trace.pitch_vel),
-        roll_vel=np.interp(times, trace.t, trace.roll_vel),
-    )
-
-
 def yaw_at(trace: HeadTrace, times) -> np.ndarray:
     """Yaw at arbitrary times inside the trace, shorter-arc interpolated."""
     return interp_angle_deg(times, trace.t, trace.yaw)
@@ -268,17 +240,6 @@ def _windows(traces, lag_s: float, stride_s: float):
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
-def yaw_changes(trace: HeadTrace, lag_s: float, stride_s: float = 0.1) -> np.ndarray:
-    """Signed circular yaw changes over a lookahead of lag_s.
-
-    Samples start times every stride_s from the beginning of the trace, as
-    long as the whole lookahead window fits.  Results lie in [-180, 180).
-    """
-    if not lag_s > 0:
-        raise ValueError("lag must be positive")
-    return _windows([trace], lag_s, stride_s)[2]
-
-
 def _require_traces(traces) -> list:
     traces = list(traces)
     if not traces:
@@ -290,10 +251,8 @@ def _require_traces(traces) -> list:
 class Cdf:
     """Empirical distribution of a pooled sample set.
 
-    ``fraction_below``/``fraction_above`` are strict, so together with
-    ``mass_at`` they partition the sample mass at any point.  ``quantile(p)``
-    returns the smallest sample whose CDF reaches p; quantile(0) is the
-    minimum and quantile(1) the maximum.
+    ``quantile(p)`` returns the smallest sample whose CDF reaches p;
+    quantile(0) is the minimum and quantile(1) the maximum.
     """
 
     values: np.ndarray
@@ -315,17 +274,6 @@ class Cdf:
             raise ValueError("quantile level must lie in [0, 1]")
         idx = max(int(np.ceil(p * self.n)) - 1, 0)
         return float(self.values[min(idx, self.n - 1)])
-
-    def fraction_below(self, x: float) -> float:
-        return float(np.searchsorted(self.values, x, side="left")) / self.n
-
-    def fraction_above(self, x: float) -> float:
-        return 1.0 - float(np.searchsorted(self.values, x, side="right")) / self.n
-
-    def mass_at(self, x: float) -> float:
-        lo = np.searchsorted(self.values, x, side="left")
-        hi = np.searchsorted(self.values, x, side="right")
-        return float(hi - lo) / self.n
 
     def describe(self) -> dict:
         """Summary statistics used by report emitters."""

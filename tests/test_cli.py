@@ -11,6 +11,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from prefetch360 import (
     UtilityModel,
     eval_objective,
 )
+from prefetch360 import cli
 from prefetch360.cli import ORACLE_BATCH_LIMIT, main
 from prefetch360.optimizer import SolveStats
 
@@ -216,6 +218,8 @@ class TestExitCodes:
         ("schedule", one_pass_schedule(lead_s=math.nan), "passes[0]: lead time"),
         ("analyze", {"lags": [None]}, "lags"),
         ("analyze", {"lags": [math.nan]}, "lags"),
+        ("analyze", {"metrics": ["yaw_change"], "lags": [], "stride_s": -1},
+         "lags: expected a non-empty list"),
         ("oracle", {"batch": {"count": True}}, "batch.count"),
         ("oracle", {"batch": {"count": ORACLE_BATCH_LIMIT + 1}}, "batch.count"),
         ("oracle", {"batch": {"count": 10**18}}, "batch.count"),
@@ -234,7 +238,7 @@ class TestExitCodes:
             "solve-steps-1001", "solve-steps-1e18", "schedule-probs-number",
             "schedule-budget-2^63", "schedule-budget-1e19", "schedule-budget-2^64-1",
             "schedule-lead-negative", "schedule-lead-nan",
-            "analyze-lag-null", "analyze-lag-nan", "oracle-count-bool",
+            "analyze-lag-null", "analyze-lag-nan", "analyze-lags-empty", "oracle-count-bool",
             "oracle-count-over-the-limit", "oracle-count-1e18", "oracle-count-2^63",
             "sweep-N-empty", "sweep-f-empty", "sweep-beta-empty", "sweep-utility-empty",
             "sweep-lags-empty"])
@@ -284,8 +288,6 @@ class TestExitCodes:
         assert len(lines) == 1 and lines[0].startswith("error:") and "parents table" in lines[0]
 
     def test_internal_failure_returns_2(self, tmp_path, monkeypatch, capsys):
-        from prefetch360 import cli
-
         def explode(inst):
             raise RuntimeError("solver crashed")
 
@@ -379,7 +381,7 @@ class TestSweep:
 
     def test_convolved_sweep_smooths_once_per_extra_lag(self, tmp_path, monkeypatch):
         # lag i is lag i-1 smoothed once more, with the bytes of a per-lag build
-        from prefetch360 import cli, config
+        from prefetch360 import config
 
         lags = [float(t) for t in range(1, 21)]
         family = {"kind": "convolved", "base_sigma_deg": 20.0, "kernel_sigma_deg": 40.0}
@@ -396,8 +398,28 @@ class TestSweep:
             return [config.build_probs({**spec, "lag_s": lag, "steps": i}, grid)
                     for i, lag in enumerate(lags)]
 
-        monkeypatch.setattr(cli, "sweep_probs", per_lag)
+        monkeypatch.setattr(config, "sweep_probs", per_lag)
         assert run_main(["sweep", "--config", cfg]) == (0, out, "")
+
+    REFUSED_BASE = {"rates": list(SIX_LEVEL_RATES), "N": 6, "capacity": [5000], "lags": [1, 2],
+                    "family": {"kind": "wrapped_gaussian_sqrt"}}
+
+    @pytest.mark.parametrize("keys, message", [
+        ({"N": [6, 361]}, "at most 360"),
+        ({"f": [1, -1]}, "stall penalty"),
+        ({"beta": [0.1, 7]}, "beta must lie in [0, 1]"),
+        ({"capacity": [100, -1]}, "capacity"),
+        ({"N": [2, 24], "capacity": [500000]}, "parents table"),
+    ], ids=["N-361", "f-negative", "beta-7", "capacity-negative", "parents-table"])
+    def test_refused_config_runs_no_dp(self, tmp_path, keys, message):
+        # the whole config is checked before the first solve
+        cfg = write_config(tmp_path, {**self.REFUSED_BASE, **keys})
+        with mock.patch.object(cli, "solve_dp", wraps=cli.solve_dp) as solve:
+            code, out, err = run_main(["sweep", "--config", cfg])
+        lines = err.splitlines()
+        assert code == 1 and out == "" and len(lines) == 1, (code, lines)
+        assert lines[0].startswith("error:") and message in lines[0]
+        assert solve.call_count == 0
 
     LIST_KEYS = ("lags", "N", "capacity", "beta", "f")
 
@@ -411,8 +433,12 @@ class TestSweep:
         draw_odd_keys(data, config, keys, self.LIST_KEYS)
         path = small_cohort.parent / "sweep-fuzz.json"
         path.write_text(json.dumps(config))
-        assert_exit_0_or_1(["sweep", "--config", str(path), "--traces", str(small_cohort)],
-                           "family,utility,N,C,f,beta,T,value,levels\n")
+        with mock.patch.object(cli, "solve_dp", wraps=cli.solve_dp) as solve:
+            code = assert_exit_0_or_1(["sweep", "--config", str(path), "--traces",
+                                       str(small_cohort)],
+                                      "family,utility,N,C,f,beta,T,value,levels\n")
+        # a refused sweep runs no DP at all
+        assert code == 0 or solve.call_count == 0
 
     def test_empirical_family_needs_traces(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {**self.SWEEP, "family": {"kind": "empirical"}})
@@ -477,8 +503,6 @@ class TestOracle:
         assert payload["mismatches"] == []
 
     def test_mismatch_exits_2(self, tmp_path, monkeypatch, capsys):
-        from prefetch360 import cli
-
         bogus = SolveReport(Selection((0, 0, 0), 99.0), 99.0, "dp", SolveStats(0, 0.0))
         monkeypatch.setattr(cli, "solve_dp", lambda inst: bogus)
         cfg = write_config(tmp_path, TOY_SOLVE)
@@ -553,8 +577,9 @@ class TestGenTraces:
         ({"kinds": ["constant"], "count_per_kind": 10**18, "duration_s": 5}, "count_per_kind"),
         ({"kinds": ["constant"], "count_per_kind": 2**63, "duration_s": 5}, "count_per_kind"),
         ({"kinds": []}, "kinds"),
+        ({"kinds": ["walk", "walk"]}, "kinds"),
     ], ids=["explore-before-its-split", "one-sample", "count-1e18", "count-2^63",
-            "no-kinds"])
+            "no-kinds", "repeated-kind"])
     def test_refused_config_creates_nothing(self, tmp_path, config, key):
         out = tmp_path / "traces"
         code, _, err = run_main(["gen-traces", "--config", write_config(tmp_path, config),
@@ -649,10 +674,14 @@ class TestAnalyzeLimits:
         ("analyze", {"metrics": ["yaw_change"], "stride_s": 10**400}, "stride_s"),
         ("solve", {**TOY_SOLVE, "probs": {"family": "empirical", "lag_s": 1.0, "stride_s": 1e-12}},
          "windows, more than"),
+        ("solve", {**TOY_SOLVE, "probs": {"family": "wrapped_gaussian_sqrt", "sigma0_deg": 1e300,
+                                          "lag_s": 1e300}}, "sigma must be positive"),
+        ("solve", {**TOY_SOLVE, "rates": [1e300], "delta": 1e300}, "below 2^53"),
     ], ids=["origin-sectors-long-lag", "velocity-error-long-lag", "phase-split-long-lag",
             "stride-tiny", "stride-inf", "yaw-bin-tiny", "heatmap-too-many-cells",
             "sector-tiny", "sector-inf", "pairwise-step-tiny", "stride-huge-int",
-            "solve-empirical-stride-tiny"])
+            "solve-empirical-stride-tiny", "solve-sqrt-spread-overflow",
+            "solve-chunk-size-overflow"])
     def test_out_of_range_knobs_exit_1(self, tmp_path, capsys, small_cohort, command, config,
                                        message):
         cfg = write_config(tmp_path, config)

@@ -180,12 +180,23 @@ class TestParseSchedule:
 
 class TestParseSweep:
     def test_scalars_become_lists(self):
-        spec = parse_sweep({"rates": [100, 200], "N": 4, "capacity": 500, "lags": 2.0})
-        assert spec["capacities"] == [500]
-        assert spec["tile_counts"] == [4]
-        assert spec["lags"] == [2.0]
-        assert spec["betas"] == [0.0]
-        assert spec["family"] == {"kind": "uniform"}
+        label, caps, betas, lags, ladders, utilities, grids = parse_sweep(
+            {"rates": [100, 200], "N": 4, "capacity": 500, "lags": 2.0})
+        assert (label, caps, betas, lags) == ("uniform", [500], [0.0], [2.0])
+        assert [f for f, _ in ladders] == [1.0]
+        assert [u for u, _ in utilities] == ["linear"]
+        [(grid4, vectors)] = grids
+        assert grid4.n_tiles == 4 and len(vectors) == 1
+        np.testing.assert_array_equal(vectors[0], 0.25)
+
+    def test_labels_name_repeats_and_the_category(self, trace_dir):
+        label, *_, utilities, grids = parse_sweep(
+            {"rates": [100], "N": [2, 3], "capacity": [], "lags": [1.0, 2.0],
+             "utility": [{"kind": "linear"}, {"kind": "sqrt"}, {"kind": "linear"}],
+             "family": {"kind": "empirical", "category": "static_focus"}}, trace_dir)
+        assert label == "empirical:static_focus"
+        assert [u for u, _ in utilities] == ["linear", "sqrt", "linear#2"]
+        assert [(grid.n_tiles, len(vectors)) for grid, vectors in grids] == [(2, 2), (3, 2)]
 
     def test_lags_must_strictly_increase(self):
         base = {"rates": [100], "N": 2, "capacity": 100}

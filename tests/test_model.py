@@ -138,8 +138,8 @@ class TestDirectionGrid:
 
     def test_tile_width_and_starts(self, grid6):
         assert grid6.tile_width_deg == 60.0
-        np.testing.assert_array_equal(grid6.tile_start_deg(np.arange(6)),
-                                      [0.0, 60.0, 120.0, -180.0, -120.0, -60.0])
+        # tile n starts at n * 60 degrees
+        np.testing.assert_array_equal(grid6.tile_index(np.arange(6) * 60.0), np.arange(6))
 
     @pytest.mark.parametrize("angle, tile", [
         (0.0, 0),

@@ -1,11 +1,9 @@
-"""Head-trace parsing, resampling, and the motion analytics."""
+"""Head-trace parsing, rebasing, and the motion analytics."""
 
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from prefetch360 import (
     Cdf,
@@ -21,14 +19,12 @@ from prefetch360 import (
     phase_split_cdf,
     random_walk_trace,
     rebase_yaw,
-    resample,
     sinusoid_trace,
     uniform_random_trace,
     velocity_prediction_error,
     write_trace,
     yaw_at,
     yaw_change_cdf,
-    yaw_changes,
 )
 
 
@@ -138,23 +134,6 @@ class TestRebaseAndResample:
         twice = rebase_yaw(once)
         np.testing.assert_array_equal(once.yaw, twice.yaw)
 
-    def test_resample_preserves_endpoints_and_rate(self):
-        trace = sinusoid_trace(30.0, 5.0, duration_s=4.0, rate_hz=50.0)
-        coarse = resample(trace, 10.0)
-        assert coarse.t[0] == trace.t[0]
-        assert coarse.t[-1] == pytest.approx(trace.t[-1])
-        np.testing.assert_allclose(np.diff(coarse.t), 0.1, atol=1e-9)
-        assert coarse.yaw[0] == trace.yaw[0]
-
-    def test_resample_interpolates_across_the_seam(self):
-        trace = manual_trace([0.0, 1.0], [170.0, -170.0])
-        fine = resample(trace, 2.0)
-        assert fine.yaw[1] == pytest.approx(-180.0)
-
-    def test_resample_rejects_bad_rate(self):
-        with pytest.raises(ValueError, match="rate must be positive"):
-            resample(constant_trace(duration_s=1.0, rate_hz=10.0), 0.0)
-
     def test_yaw_at_recovers_samples(self):
         trace = sinusoid_trace(40.0, 6.0, duration_s=3.0, rate_hz=20.0)
         np.testing.assert_allclose(yaw_at(trace, trace.t), trace.yaw, atol=1e-9)
@@ -163,19 +142,19 @@ class TestRebaseAndResample:
 class TestYawChanges:
     def test_linear_rotation_changes_are_rate_times_lag(self):
         trace = linear_rotation_trace(rate_dps=10.0, duration_s=20.0, rate_hz=50.0)
-        changes = yaw_changes(trace, lag_s=1.5)
+        changes = yaw_change_cdf([trace], lag_s=1.5).values
         np.testing.assert_allclose(changes, 15.0, atol=1e-9)
 
     def test_stride_controls_the_sample_count(self):
         trace = constant_trace(duration_s=10.0, rate_hz=10.0)
-        assert yaw_changes(trace, lag_s=2.0, stride_s=0.5).size == 17  # (10-2)/0.5 + 1
+        assert yaw_change_cdf([trace], lag_s=2.0, stride_s=0.5).n == 17  # (10-2)/0.5 + 1
 
     def test_rejects_bad_lags(self):
         trace = constant_trace(duration_s=5.0, rate_hz=10.0)
-        with pytest.raises(ValueError, match="lag must be positive"):
-            yaw_changes(trace, lag_s=0.0)
+        with pytest.raises(ValueError, match="lag must be nonnegative"):
+            yaw_change_cdf([trace], lag_s=-1.0)
         with pytest.raises(ValueError, match="stride must be positive"):
-            yaw_changes(trace, lag_s=1.0, stride_s=0.0)
+            yaw_change_cdf([trace], lag_s=1.0, stride_s=0.0)
 
 
 class TestCdf:
@@ -185,9 +164,8 @@ class TestCdf:
         assert cdf.quantile(0.0) == 1.0
         assert cdf.quantile(0.5) == 2.0
         assert cdf.quantile(1.0) == 3.0
-        assert cdf.fraction_below(2.0) == 0.25
-        assert cdf.mass_at(2.0) == 0.5
-        assert cdf.fraction_above(2.0) == 0.25
+        below, at, above = (np.mean(op(cdf.values, 2.0)) for op in (np.less, np.equal, np.greater))
+        assert (below, at, above) == (0.25, 0.5, 0.25)
 
     def test_describe_reports_summary_stats(self):
         stats = Cdf(np.arange(1, 101, dtype=float)).describe()
@@ -205,14 +183,6 @@ class TestCdf:
         with pytest.raises(ValueError, match="quantile level"):
             Cdf(np.array([1.0])).quantile(1.5)
 
-    @given(st.lists(st.integers(-50, 50), min_size=1, max_size=60),
-           st.integers(-60, 60))
-    def test_mass_partitions_exactly(self, values, probe):
-        cdf = Cdf(np.array(values, dtype=float))
-        x = float(probe)
-        total = cdf.fraction_below(x) + cdf.mass_at(x) + cdf.fraction_above(x)
-        assert total == pytest.approx(1.0, abs=1e-12)
-
 
 class TestAggregateAnalytics:
     def test_utilization_cdf_pools_traces(self):
@@ -220,7 +190,7 @@ class TestAggregateAnalytics:
                   constant_trace(yaw_deg=40.0, duration_s=1.0, rate_hz=9.0)]
         cdf = angle_utilization_cdf(traces, "yaw")
         assert cdf.n == 20
-        assert cdf.mass_at(-40.0) == 0.5
+        assert np.mean(cdf.values == -40.0) == 0.5
         with pytest.raises(ValueError, match="unknown axis"):
             angle_utilization_cdf(traces, "zoom")
 
@@ -297,7 +267,7 @@ class TestConditionedAndPhased:
         trace = constant_trace(yaw_deg=100.0, duration_s=5.0, rate_hz=10.0)
         sectors = origin_conditioned_change([trace], lag_s=1.0, sector_deg=60.0)
         assert list(sectors) == [1]  # 100 deg falls in sector [60, 120)
-        assert sectors[1].mass_at(0.0) == 1.0
+        np.testing.assert_array_equal(sectors[1].values, 0.0)
         with pytest.raises(ValueError, match="divide 360"):
             origin_conditioned_change([trace], 1.0, sector_deg=50.0)
 
