@@ -355,14 +355,21 @@ def parse_analyze(cfg: dict) -> dict:
     known = ("utilization", "heatmap", "pairwise", "yaw_change",
              "velocity_error", "origin_sectors", "phase_split")
     metrics = _as_list(cfg.get("metrics", list(known)))
-    for metric in metrics:
+    if not metrics:
+        raise ConfigError("metrics: expected a non-empty list")
+    for i, metric in enumerate(metrics):
         if metric not in known:
             raise ConfigError(f"metrics: unknown metric {metric!r}")
+        if metric in metrics[:i]:
+            raise ConfigError(f"metrics: metric {metric!r} is listed twice")
     lags = _each(cfg, "lags", _number, [1.0])
     if not lags:
         raise ConfigError("lags: expected a non-empty list")
     if not all(t > 0 for t in lags):
         raise ConfigError("lags: must be positive")
+    for i, lag in enumerate(lags):
+        if lag in lags[:i]:
+            raise ConfigError(f"lags: lag {lag:g} is listed twice")
     out = {
         "metrics": metrics,
         "lags": lags,

@@ -16,6 +16,18 @@ DP(l, l, N-1, C), which closes the ring.  Entries that cannot pay for tile
 would overspend.  Runtime is Theta(C * N * L^3); the value table is rolled
 over n while full argmax tables are kept for reconstruction.
 
+The forward pass computes the same Theta(C * N * L^3) cells as an argmax
+over l' would, in a cache-friendlier order.  For each pinned l0 and tile n
+it walks the budget axis in blocks of _BLOCK columns.  Within a block, level
+0 (always free) seeds the running maximum for every conditioned l at once;
+each higher l' then adds its gains to the shifted previous layer and takes
+over wherever it is strictly greater, writing its index into the parents
+table.  A strict running maximum keeps the first maximum, exactly as argmax
+does, and every value is still the same single sum, so values and selections
+are bit-identical to a first-maximum argmax over l'.  A block's working set
+(candidates, running maximum, mask and parents, about 19 B per level and
+column) stays in L2.
+
 Ties are broken deterministically: the lowest level wins at the current
 tile, then the lowest pinned level l0.  Over a whole selection this prefers
 the lexicographically smallest vector in the order
@@ -43,6 +55,9 @@ BRUTE_FORCE_LIMIT = 10_000_000
 PARENTS_TABLE_LIMIT = 1 << 30
 
 _CHUNK = 1 << 18
+
+# budget columns per forward-pass block; 8192 keeps a block's working set in L2
+_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -87,29 +102,41 @@ def _dp_run(inst: Instance, columns):
     expect_w, edge_w = _weights(inst)
 
     _check_parents_table(n_levels, grid_n, cap)
-    parents = np.full((n_levels, n_levels, grid_n, cap + 1), -1, dtype=np.int16)
+    # parents[l0, n, l, c]: tile n's level given l0 at tile 0 and l at tile n+1;
+    # zeros, because level 0 seeds the running maximum
+    parents = np.zeros((n_levels, grid_n, n_levels, cap + 1), dtype=np.int16)
+    layer = np.empty((n_levels, cap + 1))
+    nxt = np.empty_like(layer)
+    width = min(_BLOCK, cap + 1)
+    cand = np.empty((n_levels, width))
+    better = np.empty((n_levels, width), dtype=bool)
 
     # final[l0, k]: best ring value with tile 0 at l0 within budget columns[k]
     final = np.empty((n_levels, len(columns)))
     for l0 in range(n_levels):
         base = expect_w[0] * utility[0, l0] - edge_w[0] * np.abs(utility[0, l0] - utility[1 % grid_n, :])
-        feasible = np.arange(cap + 1) >= sizes[0, l0]
-        layer = np.where(feasible[None, :], base[:, None], -np.inf)
+        layer.fill(-np.inf)
+        layer[:, sizes[0, l0]:] = base[:, None]
         for n in range(1, grid_n):
             gains = (expect_w[n] * utility[n, :][:, None]
                      - edge_w[n] * np.abs(utility[n, :][:, None] - utility[(n + 1) % grid_n, :][None, :]))
-            shifted = np.full((n_levels, cap + 1), -np.inf)
-            for cur in range(n_levels):
-                b = sizes[n, cur]
-                if b <= cap:
-                    shifted[cur, b:] = layer[cur, : cap + 1 - b]
-            nxt_layer = np.empty((n_levels, cap + 1))
-            for l in range(n_levels):
-                cand = gains[:, l][:, None] + shifted
-                arg = cand.argmax(axis=0)
-                parents[l0, l, n, :] = arg
-                nxt_layer[l, :] = np.take_along_axis(cand, arg[None, :], axis=0)[0]
-            layer = nxt_layer
+            for lo in range(0, cap + 1, _BLOCK):
+                hi = min(lo + _BLOCK, cap + 1)
+                best = nxt[:, lo:hi]
+                arg = parents[l0, n, :, lo:hi]
+                # level 0 is free (an Instance invariant), so it seeds every column
+                np.add(gains[0, :, None], layer[0, lo:hi], out=best)
+                for cur in range(1, n_levels):
+                    b = int(sizes[n, cur])
+                    start = max(lo, b)
+                    if start >= hi:
+                        continue
+                    w = hi - start
+                    np.add(gains[cur, :, None], layer[cur, start - b:hi - b], out=cand[:, :w])
+                    np.greater(cand[:, :w], best[:, start - lo:], out=better[:, :w])
+                    np.copyto(best[:, start - lo:], cand[:, :w], where=better[:, :w])
+                    np.copyto(arg[:, start - lo:], cur, where=better[:, :w])
+            layer, nxt = nxt, layer
         final[l0] = layer[l0, columns]
 
     selections = []
@@ -119,7 +146,7 @@ def _dp_run(inst: Instance, columns):
         levels = [best_l0] * grid_n
         l = best_l0
         for n in range(grid_n - 1, 0, -1):
-            l = int(parents[best_l0, l, n, c])
+            l = int(parents[best_l0, n, l, c])
             levels[n] = l
             c -= int(sizes[n, l])
         selections.append(Selection(tuple(levels), float(final[best_l0, k])))

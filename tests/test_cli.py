@@ -638,6 +638,18 @@ class TestAnalyze:
         main(["analyze", "--config", cfg, "--traces", str(trace_dir), "--out", str(second)])
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize("config, message", [
+        ({"metrics": []}, "metrics: expected a non-empty list"),
+        ({"metrics": ["yaw_change", "yaw_change"]}, "metrics: metric 'yaw_change' is listed twice"),
+        ({"metrics": ["yaw_change"], "lags": [1, 2, 1.0]}, "lags: lag 1 is listed twice"),
+    ], ids=["metrics-empty", "metric-repeated", "lag-repeated"])
+    def test_refused_config_parses_no_trace(self, tmp_path, trace_dir, config, message):
+        cfg = write_config(tmp_path, config, name="analyze.json")
+        with mock.patch("prefetch360.config.parse_trace") as parse:
+            code, out, err = run_main(["analyze", "--config", cfg, "--traces", str(trace_dir)])
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert parse.call_count == 0
+
     def test_requires_traces(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"metrics": ["utilization"]})
         assert main(["analyze", "--config", cfg]) == 1

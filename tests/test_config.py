@@ -243,6 +243,12 @@ class TestParseGenAndAnalyze:
             parse_analyze({"metrics": ["telepathy"]})
         with pytest.raises(ConfigError, match="unknown category"):
             parse_analyze({"category": "skydiving"})
+        with pytest.raises(ConfigError, match="metrics: expected a non-empty list"):
+            parse_analyze({"metrics": []})
+        with pytest.raises(ConfigError, match="metrics: metric 'yaw_change' is listed twice"):
+            parse_analyze({"metrics": ["yaw_change", "heatmap", "yaw_change"]})
+        with pytest.raises(ConfigError, match="lags: lag 2 is listed twice"):
+            parse_analyze({"lags": [2, 0.5, 2.0]})
 
 
 class TestLoadTraces:

@@ -9,6 +9,8 @@ from prefetch360 import (
     DirectionGrid,
     Instance,
     QualityLadder,
+    SizeModel,
+    TileState,
     UtilityModel,
     brute_force,
     eval_objective,
@@ -16,8 +18,11 @@ from prefetch360 import (
     solve_dp,
     solve_mckp,
     uniform,
+    upgrade_sizes,
     wrapped_gaussian,
 )
+from prefetch360 import optimizer
+from prefetch360.cli import ORACLE_TOL
 
 from conftest import dyadic_instance, random_instance
 
@@ -138,6 +143,44 @@ class TestCapacityGrid:
         monkeypatch.setattr(optimizer, "PARENTS_TABLE_LIMIT", table_bytes - 1)
         with pytest.raises(ValueError, match="parents table"):
             solve_dp(inst)
+
+
+class TestBlocking:
+    @pytest.mark.parametrize("block", [1, 5, 64])
+    def test_block_edges_move_no_bit(self, block, monkeypatch):
+        rng = np.random.default_rng(block)
+        cases = []
+        for i in range(30):
+            inst = random_instance(rng, max_capacity=300 if block == 1 else 900)
+            if i % 2:
+                # levels at or below the cached one are free: many exact ties
+                cached = TileState(rng.integers(0, inst.ladder.n_levels + 1, size=inst.grid.n_tiles))
+                mode = ("svc_ideal", "redownload")[i // 2 % 2]
+                inst = replace(inst, sizes=upgrade_sizes(cached, inst.ladder, SizeModel(mode)))
+            picks = rng.integers(0, inst.capacity + 1, size=3).tolist()
+            caps = [picks[0], 0, inst.capacity, picks[1], picks[0], picks[2]]
+            cases.append((inst, caps, solve_dp(inst, caps)))
+        monkeypatch.setattr(optimizer, "_BLOCK", block)
+        for inst, caps, default in cases:
+            blocked = solve_dp(inst, caps)
+            assert blocked.selection.levels == default.selection.levels
+            assert blocked.value == default.value
+            for got, want in zip(blocked.selections, default.selections, strict=True):
+                assert got.levels == want.levels
+                assert got.value == want.value
+
+    @pytest.mark.parametrize("beta", [0.0, 0.1])
+    def test_capacity_over_two_blocks_matches_the_references(self, ladder6, grid6, beta):
+        capacity = 20_000
+        assert capacity > 2 * optimizer._BLOCK
+        inst = Instance(grid6, ladder6, UtilityModel("large_screen"), wrapped_gaussian(30.0, grid6),
+                        capacity, beta)
+        dp = solve_dp(inst)
+        exhaustive = brute_force(inst)
+        assert dp.selection.levels == exhaustive.selection.levels
+        assert abs(dp.value - exhaustive.value) <= ORACLE_TOL
+        if beta == 0.0:
+            assert dp.value == solve_mckp(inst).value
 
 
 class TestStructuralProperties:
