@@ -65,7 +65,7 @@ def load_json(path) -> dict:
         raise ConfigError(f"config file not found: {path}")
     try:
         loaded = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(loaded, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")

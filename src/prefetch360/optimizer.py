@@ -51,7 +51,7 @@ __all__ = [
 
 BRUTE_FORCE_LIMIT = 10_000_000
 
-# bytes of int16 argmax table; admits N=24, six levels, C=400k (0.94 GB)
+# bytes of int16 argmax table; admits N=24, six levels, C=400k (0.90 GB)
 PARENTS_TABLE_LIMIT = 1 << 30
 
 _CHUNK = 1 << 18
@@ -87,8 +87,11 @@ def _weights(inst: Instance):
 
 
 def _check_parents_table(n_levels: int, n_tiles: int, capacity: int) -> None:
-    """Refuse an int16 parents table over PARENTS_TABLE_LIMIT; n_levels counts level 0."""
-    table_bytes = n_levels * n_levels * n_tiles * (capacity + 1) * 2
+    """Refuse an int16 parents table over PARENTS_TABLE_LIMIT; n_levels counts level 0.
+
+    The table covers tiles 1..N-1: tile 0's level is the pinned l0.
+    """
+    table_bytes = n_levels * n_levels * (n_tiles - 1) * (capacity + 1) * 2
     if table_bytes > PARENTS_TABLE_LIMIT:
         raise ValueError(f"DP parents table needs {table_bytes} bytes, over {PARENTS_TABLE_LIMIT}")
 
@@ -102,9 +105,9 @@ def _dp_run(inst: Instance, columns):
     expect_w, edge_w = _weights(inst)
 
     _check_parents_table(n_levels, grid_n, cap)
-    # parents[l0, n, l, c]: tile n's level given l0 at tile 0 and l at tile n+1;
+    # parents[l0, n - 1, l, c]: tile n's level given l0 at tile 0 and l at tile n+1;
     # zeros, because level 0 seeds the running maximum
-    parents = np.zeros((n_levels, grid_n, n_levels, cap + 1), dtype=np.int16)
+    parents = np.zeros((n_levels, grid_n - 1, n_levels, cap + 1), dtype=np.int16)
     layer = np.empty((n_levels, cap + 1))
     nxt = np.empty_like(layer)
     width = min(_BLOCK, cap + 1)
@@ -123,7 +126,7 @@ def _dp_run(inst: Instance, columns):
             for lo in range(0, cap + 1, _BLOCK):
                 hi = min(lo + _BLOCK, cap + 1)
                 best = nxt[:, lo:hi]
-                arg = parents[l0, n, :, lo:hi]
+                arg = parents[l0, n - 1, :, lo:hi]
                 # level 0 is free (an Instance invariant), so it seeds every column
                 np.add(gains[0, :, None], layer[0, lo:hi], out=best)
                 for cur in range(1, n_levels):
@@ -146,7 +149,7 @@ def _dp_run(inst: Instance, columns):
         levels = [best_l0] * grid_n
         l = best_l0
         for n in range(grid_n - 1, 0, -1):
-            l = int(parents[best_l0, n, l, c])
+            l = int(parents[best_l0, n - 1, l, c])
             levels[n] = l
             c -= int(sizes[n, l])
         selections.append(Selection(tuple(levels), float(final[best_l0, k])))

@@ -11,6 +11,17 @@ plus an optional JSON sidecar carrying ``video_id``, ``user_id`` and a
 talk about "angles relative to the start" expect traces rebased so the first
 yaw sample is 0.
 
+``write_trace`` writes every column with 6 decimals and CRLF line ends: the
+bytes ``csv.writer`` gives for the same fields.  ``parse_trace`` takes the
+columns in any order; the first four are required, unknown or repeated names
+are refused.  The body is read by ``np.loadtxt`` when it can; whatever that
+declines goes to a ``csv`` plus ``float()`` loop, which decides and names the
+line it refuses.  Both read the same values, so the loop alone fixes what is
+accepted: blank lines are skipped, quoted fields, ``1_0``, padded numbers,
+``nan`` and ``inf`` are read as ``float()`` reads them, and a field over the
+``csv`` field limit is refused.  Non-finite samples are refused before any
+angle is wrapped.
+
 The metrics here all reduce to pooled sample sets summarized as empirical
 CDFs: how much of the angle range viewers use, how far yaw drifts over a
 lookahead window, how those drifts interact with instantaneous velocity, and
@@ -18,6 +29,7 @@ how behavior differs between an exploration phase and steady viewing.
 """
 
 import csv
+import io
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -88,6 +100,9 @@ class HeadTrace:
             raise ValueError("a trace needs at least two samples")
         if any(a.size != n for a in arrays.values()):
             raise ValueError("all trace columns must have equal length")
+        # in Python floats an overflowing span is inf, where np.diff would warn
+        if not np.isfinite(float(arrays["t"].max()) - float(arrays["t"].min())):
+            raise ValueError("timestamps must span a finite duration")
         if np.any(np.diff(arrays["t"]) <= 0):
             raise ValueError("timestamps must be strictly increasing")
         for name in ("yaw", "roll"):
@@ -107,7 +122,64 @@ class HeadTrace:
 
 def _finite_diff(t: np.ndarray, signal: np.ndarray, circular: bool) -> np.ndarray:
     values = unwrap_deg(signal) if circular else signal
-    return np.gradient(values, t)
+    # a step too steep for a float gives inf or nan, which HeadTrace refuses
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return np.gradient(values, t)
+
+
+def _loadtxt_table(body: str, n_columns: int):
+    """The trace body parsed in C, or None where the csv loop must decide.
+
+    Declines, without warning, a body with no data line (loadtxt would warn)
+    and a body with a line longer than the csv field limit (csv would refuse
+    a field in it).  Anything loadtxt refuses, or a table of another width,
+    also goes to the loop, which names the offending line.
+    """
+    lines = body.split("\n")
+    if not body.strip("\r\n") or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    try:
+        table = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
+    except ValueError:
+        return None
+    return table if table.shape[1] == n_columns else None
+
+
+def _csv_table(csv_path, body: str, n_columns: int) -> np.ndarray:
+    """The trace body parsed by ``csv`` and ``float``; a refusal names its line.
+
+    Lines count CSV records, the header being line 1; empty records are skipped.
+    """
+    rows = []
+    lineno = 1
+    try:
+        for lineno, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
+            if not row:
+                continue
+            if len(row) != n_columns:
+                raise ValueError(f"{csv_path}:{lineno}: expected {n_columns} fields, got {len(row)}")
+            try:
+                rows.append([float(x) for x in row])
+            except ValueError:
+                raise ValueError(f"{csv_path}:{lineno}: non-numeric field") from None
+    except csv.Error as exc:
+        raise ValueError(f"{csv_path}:{lineno + 1}: {exc}") from None
+    return np.asarray(rows, dtype=float)
+
+
+def _read_trace_csv(csv_path: Path):
+    """(header, body): the header record's stripped names and the text after it."""
+    try:
+        with open(csv_path, newline="") as fh:
+            header = next(csv.reader(fh), None)
+            body = fh.read()
+    except csv.Error as exc:
+        raise ValueError(f"{csv_path}:1: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{csv_path}: {exc}") from None
+    if header is None:
+        raise ValueError(f"{csv_path}: empty trace file")
+    return [h.strip() for h in header], body
 
 
 def parse_trace(csv_path) -> HeadTrace:
@@ -119,32 +191,26 @@ def parse_trace(csv_path) -> HeadTrace:
     convention every analytic here assumes.
     """
     csv_path = Path(csv_path)
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{csv_path}: empty trace file") from None
-        header = [h.strip() for h in header]
-        unknown = set(header) - set(TRACE_COLUMNS)
-        if unknown:
-            raise ValueError(f"{csv_path}: unknown columns {sorted(unknown)}")
-        missing = set(TRACE_COLUMNS[:4]) - set(header)
-        if missing:
-            raise ValueError(f"{csv_path}: missing columns {sorted(missing)}")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(f"{csv_path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            try:
-                rows.append([float(x) for x in row])
-            except ValueError:
-                raise ValueError(f"{csv_path}:{lineno}: non-numeric field") from None
-    if len(rows) < 2:
+    header, body = _read_trace_csv(csv_path)
+    unknown = set(header) - set(TRACE_COLUMNS)
+    if unknown:
+        raise ValueError(f"{csv_path}: unknown columns {sorted(unknown)}")
+    repeated = {h for h in set(header) if header.count(h) > 1}
+    if repeated:
+        raise ValueError(f"{csv_path}: duplicate columns {sorted(repeated)}")
+    missing = set(TRACE_COLUMNS[:4]) - set(header)
+    if missing:
+        raise ValueError(f"{csv_path}: missing columns {sorted(missing)}")
+    table = _loadtxt_table(body, len(header))
+    if table is None:
+        table = _csv_table(csv_path, body, len(header))
+    if len(table) < 2:
         raise ValueError(f"{csv_path}: a trace needs at least two samples")
-    data = dict(zip(header, np.asarray(rows, dtype=float).T))
+    # before any wrapping: the remainder of inf warns
+    finite = np.isfinite(table).all(axis=0)
+    if not finite.all():
+        raise ValueError(f"{csv_path}: {header[int(np.argmin(finite))]} contains non-finite samples")
+    data = dict(zip(header, table.T))
 
     t = data["t_s"]
     yaw = wrap_deg(data["yaw_deg"])
@@ -163,27 +229,43 @@ def parse_trace(csv_path) -> HeadTrace:
     meta = {"video_id": csv_path.stem, "user_id": "", "category": "misc"}
     sidecar = csv_path.with_suffix(".json")
     if sidecar.exists():
-        loaded = json.loads(sidecar.read_text())
+        try:
+            loaded = json.loads(sidecar.read_text())
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"{sidecar}: invalid JSON ({exc})") from None
         if not isinstance(loaded, dict):
             raise ValueError(f"{sidecar}: sidecar must hold a JSON object")
         meta.update({k: loaded[k] for k in ("video_id", "user_id", "category") if k in loaded})
 
-    trace = HeadTrace(t, yaw, pitch, roll, yaw_vel, pitch_vel, roll_vel,
-                      video_id=str(meta["video_id"]), user_id=str(meta["user_id"]),
-                      category=str(meta["category"]))
+    try:
+        trace = HeadTrace(t, yaw, pitch, roll, yaw_vel, pitch_vel, roll_vel,
+                          video_id=str(meta["video_id"]), user_id=str(meta["user_id"]),
+                          category=str(meta["category"]))
+    except ValueError as exc:
+        raise ValueError(f"{csv_path}: {exc}") from None
     return rebase_yaw(trace)
 
 
+# one line of the written body: csv.writer's fields and its \r\n line ending
+_ROW_FORMAT = ",".join(["%.6f"] * len(TRACE_COLUMNS)) + "\r\n"
+
+# rows formatted per write, so a long trace never holds its whole text at once
+_WRITE_ROWS = 1 << 14
+
+
 def write_trace(trace: HeadTrace, csv_path) -> None:
-    """Write a trace as CSV (6 decimal places) plus its JSON sidecar next to it."""
+    """Write a trace as CSV (6 decimal places, CRLF line ends) plus its JSON sidecar.
+
+    The bytes are those ``csv.writer`` writes for the same ``f"{x:.6f}"`` fields.
+    """
     csv_path = Path(csv_path)
+    table = np.column_stack((trace.t, trace.yaw, trace.pitch, trace.roll,
+                             trace.yaw_vel, trace.pitch_vel, trace.roll_vel))
     with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        columns = (trace.t, trace.yaw, trace.pitch, trace.roll,
-                   trace.yaw_vel, trace.pitch_vel, trace.roll_vel)
-        for row in zip(*columns):
-            writer.writerow([f"{x:.6f}" for x in row])
+        fh.write(",".join(TRACE_COLUMNS) + "\r\n")
+        for lo in range(0, len(table), _WRITE_ROWS):
+            block = table[lo:lo + _WRITE_ROWS]
+            fh.write(_ROW_FORMAT * len(block) % tuple(block.ravel().tolist()))
     sidecar = csv_path.with_suffix(".json")
     meta = {"video_id": trace.video_id, "user_id": trace.user_id, "category": trace.category}
     sidecar.write_text(json.dumps(meta, indent=2) + "\n")

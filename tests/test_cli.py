@@ -32,7 +32,7 @@ from prefetch360 import cli
 from prefetch360.cli import ORACLE_BATCH_LIMIT, main
 from prefetch360.optimizer import SolveStats
 
-from conftest import SIX_LEVEL_RATES, TOY_PROBS
+from conftest import SIDECARS, SIX_LEVEL_RATES, TOY_PROBS, trace_csv_bytes
 
 TOY_SOLVE = {
     "rates": [100, 200], "N": 3, "capacity": 300, "beta": 0.0,
@@ -180,6 +180,13 @@ class TestExitCodes:
         path.write_text("{oops")
         assert main(["solve", "--config", str(path)]) == 1
 
+    @pytest.mark.parametrize("content", [b"[" * 100_000, b"\xff{}"], ids=["too-deep", "not-utf-8"])
+    def test_unreadable_json_names_the_file(self, tmp_path, content):
+        path = tmp_path / "odd.json"
+        path.write_bytes(content)
+        code, out, err = run_main(["solve", "--config", str(path)])
+        assert (code, out) == (1, "") and err.startswith(f"error: {path}: invalid JSON")
+
     def test_bad_config_value(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {**TOY_SOLVE, "probs": {"family": "prophecy"}})
         assert main(["solve", "--config", cfg]) == 1
@@ -280,7 +287,7 @@ class TestExitCodes:
         assert proc.returncode == 0 and proc.stdout == "False\n"
 
     def test_oversized_dp_table_is_refused_before_allocation(self, tmp_path, capsys):
-        # the int16 parents table would need 2.35 TB
+        # the int16 parents table would need 2.25 TB
         cfg = write_config(tmp_path, {"rates": list(SIX_LEVEL_RATES), "N": 24,
                                       "capacity": 10**9, "probs": {"family": "uniform"}})
         assert main(["solve", "--config", cfg]) == 1
@@ -727,6 +734,56 @@ class TestAnalyzeLimits:
         path.write_text(json.dumps(config))
         assert_exit_0_or_1(["analyze", "--config", str(path), "--traces", str(small_cohort)],
                            "metric,group,stat,value\n")
+
+
+class TestTraceFiles:
+    """``analyze`` on a directory holding one malformed trace file, maybe with a sidecar."""
+
+    PLAIN = "t_s,yaw_deg,pitch_deg,roll_deg\n0,0,0,0\n1,10,0,0\n2,20,0,0\n"
+
+    @staticmethod
+    def analyze(root, csv_bytes, sidecar=None, config=None):
+        traces_dir = root / "traces"
+        traces_dir.mkdir()
+        (traces_dir / "t.csv").write_bytes(csv_bytes)
+        if sidecar is not None:
+            (traces_dir / "t.json").write_bytes(sidecar)
+        cfg = write_config(root, config or {"metrics": ["utilization", "yaw_change"],
+                                            "lags": [0.5]})
+        return ["analyze", "--config", cfg, "--traces", str(traces_dir)]
+
+    @pytest.mark.parametrize("csv_text, sidecar, message", [
+        (PLAIN, b"[" * 100_000, "t.json: invalid JSON"),
+        (f"t_s,yaw_deg,pitch_deg,roll_deg\n0,0,0,0\n1,{'0' * 131073},0,0\n", None,
+         "t.csv:3: field larger than field limit"),
+        (f"t_s,yaw_deg,pitch_deg,roll_deg,{'x' * 131073}\n0,0,0,0,0\n1,0,0,0,0\n", None,
+         "t.csv:1: field larger than field limit"),
+        (f"t_s,yaw_deg,pitch_deg,roll_deg\n0,0,0,0\n1,1{'0' * 5000},0,0\n", None,
+         "t.csv: yaw_deg contains non-finite samples"),
+        ("t_s,yaw_deg,pitch_deg,roll_deg,yaw_deg\n0,0,0,0,0\n1,0,0,0,0\n", None,
+         "t.csv: duplicate columns ['yaw_deg']"),
+        ("t_s,yaw_deg,pitch_deg,roll_deg\n-1e308,0,0,0\n1e308,0,0,0\n", None,
+         "t.csv: timestamps must span a finite duration"),
+        ("t_s,yaw_deg,pitch_deg,roll_deg\n0,0,0,0\n5e-324,90,0,0\n", None,
+         "t.csv: yaw_vel contains non-finite samples"),
+    ], ids=["sidecar-too-deep", "field-over-the-csv-limit", "header-field-over-the-csv-limit",
+            "yaw-overflows-to-inf", "duplicate-column", "timestamp-span-overflows",
+            "derived-velocity-overflows"])
+    def test_refused_trace_exits_1_with_one_error_line(self, tmp_path, csv_text, sidecar,
+                                                       message):
+        code, out, err = run_main(self.analyze(tmp_path, csv_text.encode(), sidecar))
+        assert (code, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+    @settings(deadline=None, max_examples=150)
+    @given(data=st.data())
+    def test_fuzzed_trace_file_exits_0_or_1_with_one_error_line(self, tmp_path_factory, data):
+        metrics = data.draw(st.lists(st.sampled_from(TestAnalyzeLimits.METRICS), min_size=1,
+                                     max_size=3, unique=True))
+        argv = self.analyze(tmp_path_factory.mktemp("trace"), data.draw(trace_csv_bytes()),
+                            data.draw(st.none() | st.sampled_from(SIDECARS)),
+                            {"metrics": metrics, "lags": [0.5], "stride_s": 0.5})
+        assert_exit_0_or_1(argv, "metric,group,stat,value\n")
 
 
 @pytest.mark.parametrize("demo", ["capacity_and_lag_tradeoff", "layered_refinement",

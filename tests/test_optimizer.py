@@ -135,9 +135,10 @@ class TestCapacityGrid:
         from prefetch360 import optimizer
 
         # the limit admits N=24, six levels, C=400k (four-second chunks)
-        assert 7 * 7 * 24 * 400_001 * 2 <= optimizer.PARENTS_TABLE_LIMIT
+        assert 7 * 7 * 23 * 400_001 * 2 <= optimizer.PARENTS_TABLE_LIMIT
         inst = Instance(grid6, ladder6, UtilityModel("linear"), np.full(6, 1 / 6), 1000, 0.0)
-        table_bytes = 7 * 7 * 6 * 1001 * 2
+        # tiles 1..5 only: tile 0's level is the pinned l0
+        table_bytes = 7 * 7 * 5 * 1001 * 2
         monkeypatch.setattr(optimizer, "PARENTS_TABLE_LIMIT", table_bytes)
         assert solve_dp(inst).selection.levels
         monkeypatch.setattr(optimizer, "PARENTS_TABLE_LIMIT", table_bytes - 1)

@@ -1,9 +1,13 @@
 """Head-trace parsing, rebasing, and the motion analytics."""
 
+import csv
+import io
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from prefetch360 import (
     Cdf,
@@ -26,6 +30,10 @@ from prefetch360 import (
     yaw_at,
     yaw_change_cdf,
 )
+from prefetch360 import traces
+from prefetch360.traces import TRACE_COLUMNS
+
+from conftest import trace_csv_bytes
 
 
 def manual_trace(t, yaw, **meta):
@@ -105,6 +113,8 @@ class TestParseAndWrite:
         ("t_s,yaw_deg,pitch_deg,roll_deg\n0,0,0,0\n", "at least two samples"),
         ("t_s,yaw_deg,pitch_deg,roll_deg\n0,0,0,0\n1,0,0\n", "expected 4 fields"),
         ("t_s,yaw_deg,pitch_deg,roll_deg\n0,0,0,0\n1,abc,0,0\n", "non-numeric"),
+        ("t_s,yaw_deg,pitch_deg,roll_deg,yaw_deg\n0,0,0,0,0\n1,0,0,0,0\n",
+         r"duplicate columns \['yaw_deg'\]"),
     ])
     def test_parse_errors_name_the_problem(self, tmp_path, content, message):
         path = tmp_path / "bad.csv"
@@ -119,6 +129,90 @@ class TestParseAndWrite:
         (tmp_path / "t.json").write_text(json.dumps(["not", "an", "object"]))
         with pytest.raises(ValueError, match="JSON object"):
             parse_trace(path)
+
+
+def csv_writer_bytes(trace):
+    """What ``csv.writer`` writes for the trace's ``f"{x:.6f}"`` fields."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(TRACE_COLUMNS)
+    for row in zip(trace.t, trace.yaw, trace.pitch, trace.roll,
+                   trace.yaw_vel, trace.pitch_vel, trace.roll_vel):
+        writer.writerow([f"{x:.6f}" for x in row])
+    return out.getvalue().encode()
+
+
+class TestWrittenBytes:
+    EDGES = HeadTrace(
+        t=np.array([-0.0, 5e-7, 1.5e-6, 2.5e-7 + 1.0, 1.2345675, 123.4567895]),
+        yaw=np.array([-0.0, -1e-9, 179.9999996, -180.0, -179.9999996, 179.999999]),
+        pitch=np.array([-0.0, 90.0, -90.0, 0.0000005, -0.0000005, 45.0000015]),
+        roll=np.array([-180.0, 179.99999951, -1e-7, 0.1234565, 1e-300, -5e-324]),
+        yaw_vel=np.array([-0.0, 1e15, -1e15, 0.5e-6, 1.5e-6, -2.5e-6]),
+        pitch_vel=np.array([3.0000005, -3.0000005, 7.0, -7.0, 1e-6, -1e-6]),
+        roll_vel=np.array([0.0, 1e300, -1e300, 0.1, 0.2, 0.3]))
+
+    @pytest.mark.parametrize("trace", [
+        EDGES,
+        HeadTrace(*np.array([[0.0, 1.0], [179.9999995, -179.9999995], [-0.0, 0.0], [1e-7, -1e-7],
+                             [0.0000005, -0.0000005], [2.0, 3.0], [-4.0, -5.0]])),
+        random_walk_trace(duration_s=20.0, rate_hz=50.0, rng=np.random.default_rng(3)),
+    ], ids=["edges", "two-samples", "random-walk"])
+    @pytest.mark.parametrize("rows_per_write", [1, 4, traces._WRITE_ROWS])
+    def test_bytes_match_csv_writer(self, tmp_path, monkeypatch, trace, rows_per_write):
+        monkeypatch.setattr(traces, "_WRITE_ROWS", rows_per_write)
+        path = tmp_path / "t.csv"
+        write_trace(trace, path)
+        assert path.read_bytes() == csv_writer_bytes(trace)
+
+
+def parse_both_ways(path):
+    """(loadtxt table or None, csv table or None) of one trace file's body."""
+    header, body = traces._read_trace_csv(path)
+    fast = traces._loadtxt_table(body, len(header))
+    try:
+        slow = traces._csv_table(path, body, len(header))
+    except ValueError:
+        slow = None
+    return fast, slow
+
+
+class TestParsePaths:
+    @pytest.mark.parametrize("field, fast_reads", [
+        ("1.5", True), (" 1.5 ", True), ("nan", True), ("Infinity", True), ("1e5000", True),
+        ("1_0", False), ('"1.5"', False), ("\uff11", False), ("0" * 131072, False),
+    ])
+    def test_loadtxt_reads_a_subset_of_what_float_reads(self, tmp_path, field, fast_reads):
+        path = tmp_path / "t.csv"
+        path.write_text(f"t_s,yaw_deg,pitch_deg,roll_deg\n0,{field},0,0\n1,2,0,0\n")
+        fast, slow = parse_both_ways(path)
+        assert slow is not None
+        assert (fast is not None) == fast_reads
+        if fast_reads:
+            np.testing.assert_array_equal(fast, slow)
+
+    @pytest.mark.parametrize("body", ["", "\n", "\r\n\r\n", "\r"])
+    def test_no_data_line_goes_to_the_loop_without_a_warning(self, body):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert traces._loadtxt_table(body, 4) is None
+
+    @settings(deadline=None, max_examples=300)
+    @given(data=trace_csv_bytes())
+    def test_fuzzed_bodies_parse_alike_or_fall_back(self, tmp_path_factory, data):
+        # warnings are errors: the fast path may decline an input, never warn about it
+        path = tmp_path_factory.mktemp("fuzz") / "t.csv"
+        path.write_bytes(data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                fast, slow = parse_both_ways(path)
+            except ValueError:
+                return  # an empty file or undecodable bytes: neither path runs
+        if fast is not None:
+            assert slow is not None and fast.shape == slow.shape
+            assert np.array_equal(fast, slow, equal_nan=True)
+            assert np.array_equal(np.signbit(fast), np.signbit(slow))
 
 
 class TestRebaseAndResample:
