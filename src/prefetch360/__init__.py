@@ -31,7 +31,6 @@ from .scheduler import (
     PrefetchPlan,
     SizeModel,
     TileState,
-    refine,
     run_plan,
     upgrade_sizes,
 )
@@ -54,7 +53,6 @@ from .traces import (
     pairwise_angular_difference,
     parse_trace,
     phase_split_cdf,
-    rebase_yaw,
     velocity_prediction_error,
     write_trace,
     yaw_at,
@@ -107,8 +105,6 @@ __all__ = [
     "phase_split_cdf",
     "point_mass",
     "random_walk_trace",
-    "rebase_yaw",
-    "refine",
     "run_plan",
     "selection_size",
     "sinusoid_trace",

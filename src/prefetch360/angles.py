@@ -18,7 +18,9 @@ __all__ = [
 
 def wrap_deg(angle):
     """Wrap angles into [-180, 180)."""
-    return (np.asarray(angle, dtype=float) + 180.0) % 360.0 - 180.0
+    wrapped = (np.asarray(angle, dtype=float) + 180.0) % 360.0 - 180.0
+    # the remainder rounds up to 360 just below -180, which would give +180
+    return wrapped - 360.0 * (wrapped == 180.0)
 
 
 def circ_diff_deg(a, b):

@@ -184,7 +184,7 @@ def build_probs(spec: dict, grid: DirectionGrid, traces_dir=None) -> np.ndarray:
         if not isinstance(values, list):
             raise ConfigError("probs.values: expected a list")
         try:
-            return _as_prob_array(values)
+            return _as_prob_array(values, grid.n_tiles)
         except ValueError as exc:
             raise ConfigError(f"probs: {exc}") from None
     if family == "convolved":
@@ -235,7 +235,12 @@ def parse_instance(cfg: dict, traces_dir=None) -> Instance:
 
 
 def parse_schedule(cfg: dict, traces_dir=None):
-    """Returns (plan, ladder, utility, beta, size_model)."""
+    """Check a whole schedule config, before any solve.
+
+    Returns (plan, ladder, utility, beta, size_model).  Every pass's vector is
+    built on the config's grid, and the DP parents table is checked at the
+    largest budget.
+    """
     ladder = parse_ladder(cfg)
     utility = parse_utility(cfg)
     grid = DirectionGrid(_int(cfg, "N"))
@@ -270,6 +275,7 @@ def parse_schedule(cfg: dict, traces_dir=None):
             raise ConfigError(f"passes[{i}]: {exc}") from None
     try:
         plan = PrefetchPlan(tuple(passes))
+        _check_parents_table(ladder.n_levels + 1, grid.n_tiles, max(p.budget for p in passes))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return plan, ladder, utility, beta, size_model

@@ -2,15 +2,18 @@
 
 A chunk can be booked several times before playback: an early pass buys a
 base layer while the viewing direction is still vague, later passes top up
-tiles as the probability vector sharpens.  Each pass reuses the single-slot
-optimizer on a modified instance in which levels at or below a tile's
-already-cached level cost nothing, and upgrades are priced by the transport:
+tiles as the probability vector sharpens.  Every pass of a plan has one
+probability vector over the same tiles, checked when the pass is built.
+``run_plan`` gives each pass one ``Instance`` of the single-slot optimizer in
+which levels at or below a tile's already-cached level cost nothing, and
+upgrades are priced by the transport:
 
     svc_ideal    round((1 + overhead) * chunk_s * (rate_l - rate_cached))
     redownload   round(chunk_s * rate_l)
 
 A pass never downgrades: the new state is the tile-wise maximum of the
-cached and freshly chosen levels.
+cached and freshly chosen levels, and its value is that state's objective on
+the same instance.
 """
 
 from dataclasses import dataclass
@@ -19,7 +22,7 @@ import numpy as np
 
 from .model import DirectionGrid, Instance, QualityLadder, UtilityModel, eval_objective
 from .model import _as_nonneg_ints, _as_prob_array
-from .optimizer import SolveReport, solve_dp
+from .optimizer import solve_dp
 
 __all__ = [
     "SIZE_MODES",
@@ -29,7 +32,6 @@ __all__ = [
     "PrefetchPlan",
     "PassResult",
     "upgrade_sizes",
-    "refine",
     "run_plan",
 ]
 
@@ -82,6 +84,7 @@ class PrefetchPass:
     def __post_init__(self):
         _check_lead_time(self.lead_time_s)
         object.__setattr__(self, "budget", int(_as_nonneg_ints(self.budget, "budget")))
+        object.__setattr__(self, "probs", _as_prob_array(self.probs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,6 +100,8 @@ class PrefetchPlan:
         leads = [p.lead_time_s for p in passes]
         if any(b >= a for a, b in zip(leads, leads[1:])):
             raise ValueError("lead times must strictly decrease toward playback")
+        if len({p.probs.size for p in passes}) > 1:
+            raise ValueError("pass probability vectors disagree on tile count")
         object.__setattr__(self, "passes", passes)
 
 
@@ -122,25 +127,6 @@ def upgrade_sizes(state: TileState, ladder: QualityLadder, size_model: SizeModel
     return sizes
 
 
-def refine(state: TileState, probs, budget: int, size_model: SizeModel,
-           ladder: QualityLadder, utility: UtilityModel, beta: float = 0.0):
-    """Run one booking pass; returns the merged state and the solver report.
-
-    The optimizer sees upgrade prices instead of full sizes, so "keep what is
-    cached" is always feasible (level <= cached costs 0).  The merged state
-    never drops a tile below its cached level even when the solver would.
-    """
-    p = _as_prob_array(probs)
-    grid = DirectionGrid(p.size)
-    if state.levels.size != p.size:
-        raise ValueError("state and probability vector disagree on tile count")
-    sizes = upgrade_sizes(state, ladder, size_model)
-    inst = Instance(grid, ladder, utility, p, budget, beta, sizes=sizes)
-    report = solve_dp(inst)
-    merged = TileState(np.maximum(state.levels, np.asarray(report.selection.levels)))
-    return merged, report
-
-
 @dataclass(frozen=True, eq=False)
 class PassResult:
     """State after one pass and its value under that pass's probabilities."""
@@ -148,7 +134,6 @@ class PassResult:
     index: int
     lead_time_s: float
     state: TileState
-    report: SolveReport
     value: float
 
 
@@ -156,17 +141,19 @@ def run_plan(plan: PrefetchPlan, ladder: QualityLadder, utility: UtilityModel,
              beta: float = 0.0, size_model: SizeModel = SizeModel()) -> list[PassResult]:
     """Execute all passes in lead-time order and track the state trajectory.
 
-    Each result reports the merged state's objective under that pass's
-    probability vector; the last entry is the value that matters, the final
-    state under the final (sharpest) probs.
+    Each pass solves against upgrade prices, so "keep what is cached" is
+    always feasible, and the merged state never drops a tile below its cached
+    level even when the solver would.  Each result reports the merged state's
+    objective under that pass's probability vector; the last entry is the
+    value that matters, the final state under the final (sharpest) probs.
     """
-    state = TileState.empty(_as_prob_array(plan.passes[0].probs).size)
+    grid = DirectionGrid(plan.passes[0].probs.size)
+    state = TileState.empty(grid.n_tiles)
     results = []
     for i, booking in enumerate(plan.passes):
-        state, report = refine(state, booking.probs, booking.budget, size_model,
-                               ladder, utility, beta)
-        grid = DirectionGrid(state.levels.size)
-        inst = Instance(grid, ladder, utility, booking.probs, booking.budget, beta)
+        inst = Instance(grid, ladder, utility, booking.probs, booking.budget, beta,
+                        sizes=upgrade_sizes(state, ladder, size_model))
+        state = TileState(np.maximum(state.levels, solve_dp(inst).selection.levels))
         value = eval_objective(state.levels, inst)
-        results.append(PassResult(i, booking.lead_time_s, state, report, value))
+        results.append(PassResult(i, booking.lead_time_s, state, value))
     return results

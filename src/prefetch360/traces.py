@@ -7,9 +7,9 @@ are stored as a CSV with columns
     t_s,yaw_deg,pitch_deg,roll_deg,yaw_dps,pitch_dps,roll_dps
 
 plus an optional JSON sidecar carrying ``video_id``, ``user_id`` and a
-``category`` tag.  Yaw is measured against the video's 0 line; analytics that
-talk about "angles relative to the start" expect traces rebased so the first
-yaw sample is 0.
+``category`` tag, each a string.  Yaw is measured against the video's 0
+line; analytics that talk about "angles relative to the start" expect traces
+rebased so the first yaw sample is 0.
 
 ``write_trace`` writes every column with 6 decimals and CRLF line ends: the
 bytes ``csv.writer`` gives for the same fields.  ``parse_trace`` takes the
@@ -31,7 +31,7 @@ how behavior differs between an exploration phase and steady viewing.
 import csv
 import io
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +45,6 @@ __all__ = [
     "Heatmap",
     "parse_trace",
     "write_trace",
-    "rebase_yaw",
     "yaw_at",
     "angle_utilization_cdf",
     "heatmap",
@@ -225,6 +224,8 @@ def parse_trace(csv_path) -> HeadTrace:
         pitch_vel = _finite_diff(t, pitch, circular=False)
     if roll_vel is None:
         roll_vel = _finite_diff(t, roll, circular=True)
+    # rebased once the velocities are taken from the yaw as read
+    yaw = wrap_deg(yaw - yaw[0])
 
     meta = {"video_id": csv_path.stem, "user_id": "", "category": "misc"}
     sidecar = csv_path.with_suffix(".json")
@@ -235,15 +236,16 @@ def parse_trace(csv_path) -> HeadTrace:
             raise ValueError(f"{sidecar}: invalid JSON ({exc})") from None
         if not isinstance(loaded, dict):
             raise ValueError(f"{sidecar}: sidecar must hold a JSON object")
-        meta.update({k: loaded[k] for k in ("video_id", "user_id", "category") if k in loaded})
+        for key in meta:
+            value = loaded.get(key, meta[key])
+            if not isinstance(value, str):
+                raise ValueError(f"{sidecar}: {key} must be a string")
+            meta[key] = value
 
     try:
-        trace = HeadTrace(t, yaw, pitch, roll, yaw_vel, pitch_vel, roll_vel,
-                          video_id=str(meta["video_id"]), user_id=str(meta["user_id"]),
-                          category=str(meta["category"]))
+        return HeadTrace(t, yaw, pitch, roll, yaw_vel, pitch_vel, roll_vel, **meta)
     except ValueError as exc:
         raise ValueError(f"{csv_path}: {exc}") from None
-    return rebase_yaw(trace)
 
 
 # one line of the written body: csv.writer's fields and its \r\n line ending
@@ -269,11 +271,6 @@ def write_trace(trace: HeadTrace, csv_path) -> None:
     sidecar = csv_path.with_suffix(".json")
     meta = {"video_id": trace.video_id, "user_id": trace.user_id, "category": trace.category}
     sidecar.write_text(json.dumps(meta, indent=2) + "\n")
-
-
-def rebase_yaw(trace: HeadTrace) -> HeadTrace:
-    """Shift yaw so the trace starts at 0 degrees.  Idempotent."""
-    return replace(trace, yaw=wrap_deg(trace.yaw - trace.yaw[0]))
 
 
 def yaw_at(trace: HeadTrace, times) -> np.ndarray:

@@ -23,8 +23,8 @@ from prefetch360 import (
     eval_objective,
     linear_rotation_trace,
     pairwise_angular_difference,
+    parse_trace,
     random_walk_trace,
-    rebase_yaw,
     run_plan,
     selection_size,
     solve_dp,
@@ -33,6 +33,7 @@ from prefetch360 import (
     uniform_random_trace,
     velocity_prediction_error,
     wrapped_gaussian,
+    write_trace,
 )
 from prefetch360.config import build_probs
 
@@ -203,7 +204,7 @@ def test_c08_stall_penalty_irrelevant_once_every_tile_affordable(grid6):
                   f"{disagreements} disagreements over 24 settings x 3 penalties")
 
 
-def test_c09_trace_analytics_oracles():
+def test_c09_trace_analytics_oracles(tmp_path):
     rng = np.random.default_rng(99)
     viewers = [uniform_random_trace(120.0, 10.0, rng, video_id="v0", user_id=f"u{i}")
                for i in range(6)]
@@ -214,11 +215,16 @@ def test_c09_trace_analytics_oracles():
     spin = linear_rotation_trace(10.0, 60.0, 100.0)
     vel_error = velocity_prediction_error([spin], 1.0, 5.0)
 
+    def write_and_parse(trace):
+        write_trace(trace, tmp_path / "walk.csv")
+        return parse_trace(tmp_path / "walk.csv")
+
+    # a parsed trace is already rebased: writing and parsing it again keeps its yaw bits
     stable = 0
     for i in range(100):
         walk = random_walk_trace(20.0, 20.0, rng=np.random.default_rng(1000 + i))
-        once = rebase_yaw(walk)
-        stable += np.array_equal(once.yaw, rebase_yaw(once).yaw)
+        once = write_and_parse(walk)
+        stable += np.array_equal(once.yaw, write_and_parse(once).yaw)
 
     ok = samples >= 10_000 and abs(mean - 90.0) <= 2.0 and vel_error == 0.0 and stable == 100
     assert report(9, "trace analytics oracles", ok,

@@ -25,6 +25,7 @@ finite_angles = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
     (-190.0, 170.0),
     (540.0, -180.0),
     (720.0, 0.0),
+    (np.nextafter(-180.0, -np.inf), -180.0),
 ])
 def test_wrap_examples(angle, expected):
     assert wrap_deg(angle) == expected

@@ -28,7 +28,7 @@ from prefetch360 import (
     UtilityModel,
     eval_objective,
 )
-from prefetch360 import cli
+from prefetch360 import cli, scheduler
 from prefetch360.cli import ORACLE_BATCH_LIMIT, main
 from prefetch360.optimizer import SolveStats
 
@@ -417,7 +417,10 @@ class TestSweep:
         ({"beta": [0.1, 7]}, "beta must lie in [0, 1]"),
         ({"capacity": [100, -1]}, "capacity"),
         ({"N": [2, 24], "capacity": [500000]}, "parents table"),
-    ], ids=["N-361", "f-negative", "beta-7", "capacity-negative", "parents-table"])
+        ({"N": [2, 6], "family": {"kind": "explicit", "values": [0.5, 0.5]}},
+         "need 6 tile probabilities"),
+    ], ids=["N-361", "f-negative", "beta-7", "capacity-negative", "parents-table",
+            "explicit-short-for-N"])
     def test_refused_config_runs_no_dp(self, tmp_path, keys, message):
         # the whole config is checked before the first solve
         cfg = write_config(tmp_path, {**self.REFUSED_BASE, **keys})
@@ -488,8 +491,31 @@ class TestSchedule:
         draw_odd_keys(data, config, keys, ("rates",))
         path = small_cohort.parent / "schedule-fuzz.json"
         path.write_text(json.dumps(config))
-        assert_exit_0_or_1(["schedule", "--config", str(path), "--traces", str(small_cohort)],
-                           "pass,lead_s,budget,levels,value\n")
+        with mock.patch.object(scheduler, "solve_dp", wraps=scheduler.solve_dp) as solve:
+            code = assert_exit_0_or_1(["schedule", "--config", str(path), "--traces",
+                                       str(small_cohort)], "pass,lead_s,budget,levels,value\n")
+        # a refused schedule runs no DP at all
+        assert code == 0 or solve.call_count == 0
+
+    @pytest.mark.parametrize("n_tiles, passes, message", [
+        (6, [(5, 300, [0.5, 0.5])], "need 6 tile probabilities"),
+        (3, [(5, 300, [0.5, 0.5]), (1, 300, list(TOY_PROBS))], "need 3 tile probabilities"),
+        (6, [(5, 300, [1 / 6] * 6), (1, 10**9, [1 / 6] * 6)], "DP parents table needs"),
+    ], ids=["explicit-short-for-N", "mixed-lengths", "parents-table"])
+    def test_refused_config_runs_no_dp(self, tmp_path, n_tiles, passes, message):
+        # the whole schedule is checked before the first pass solves
+        cfg = write_config(tmp_path, {
+            "rates": [100, 200], "N": n_tiles,
+            "passes": [{"lead_s": lead, "budget": budget,
+                        "probs": {"family": "explicit", "values": values}}
+                       for lead, budget, values in passes],
+        })
+        with mock.patch.object(scheduler, "solve_dp", wraps=scheduler.solve_dp) as solve:
+            code, out, err = run_main(["schedule", "--config", cfg])
+        lines = err.splitlines()
+        assert code == 1 and out == "" and len(lines) == 1, (code, lines)
+        assert lines[0].startswith("error:") and message in lines[0]
+        assert solve.call_count == 0
 
 
 class TestOracle:
@@ -766,9 +792,12 @@ class TestTraceFiles:
          "t.csv: timestamps must span a finite duration"),
         ("t_s,yaw_deg,pitch_deg,roll_deg\n0,0,0,0\n5e-324,90,0,0\n", None,
          "t.csv: yaw_vel contains non-finite samples"),
+        (PLAIN, b'{"video_id": [1, {"a": null}]}', "t.json: video_id must be a string"),
+        (PLAIN, b'{"category": 1e400}', "t.json: category must be a string"),
     ], ids=["sidecar-too-deep", "field-over-the-csv-limit", "header-field-over-the-csv-limit",
             "yaw-overflows-to-inf", "duplicate-column", "timestamp-span-overflows",
-            "derived-velocity-overflows"])
+            "derived-velocity-overflows", "sidecar-id-not-a-string",
+            "sidecar-category-not-a-string"])
     def test_refused_trace_exits_1_with_one_error_line(self, tmp_path, csv_text, sidecar,
                                                        message):
         code, out, err = run_main(self.analyze(tmp_path, csv_text.encode(), sidecar))

@@ -1,4 +1,4 @@
-"""Layered refinement: upgrade pricing, single passes, and full plans."""
+"""Layered refinement: upgrade pricing, pass and plan checks, and full plans."""
 
 import warnings
 
@@ -15,7 +15,6 @@ from prefetch360 import (
     TileState,
     UtilityModel,
     eval_objective,
-    refine,
     run_plan,
     solve_dp,
     upgrade_sizes,
@@ -59,6 +58,11 @@ class TestStateAndPlanValidation:
             PrefetchPlan(())
         with pytest.raises(ValueError, match="strictly decrease"):
             PrefetchPlan((PrefetchPass(5.0, 10, p), PrefetchPass(5.0, 10, p)))
+        # a pass checks its vector when built, and a plan its tile count
+        with pytest.raises(ValueError, match="sum to 1"):
+            PrefetchPass(1.0, 10, [0.5, 0.6])
+        with pytest.raises(ValueError, match="disagree on tile count"):
+            PrefetchPlan((PrefetchPass(5.0, 10, [0.5, 0.5]), PrefetchPass(1.0, 10, p)))
 
 
 class TestUpgradeSizes:
@@ -90,27 +94,6 @@ class TestUpgradeSizes:
             upgrade_sizes(TileState(np.array([3, 0, 0])), toy_ladder, SizeModel())
 
 
-class TestRefine:
-    def test_merged_state_never_drops_below_cached(self, toy_ladder):
-        state = TileState(np.array([2, 0, 0]))
-        # probs now favor tile 1; the solver would strip tile 0 if it could
-        merged, report = refine(state, np.array([0.05, 0.9, 0.05]), 100,
-                                SizeModel(), toy_ladder, UtilityModel("linear"))
-        assert np.all(merged.levels >= state.levels)
-        assert merged.levels[1] >= 1
-
-    def test_zero_budget_keeps_the_state(self, toy_ladder):
-        state = TileState(np.array([1, 1, 0]))
-        merged, _ = refine(state, np.array(TOY_PROBS), 0, SizeModel(),
-                           toy_ladder, UtilityModel("linear"))
-        np.testing.assert_array_equal(merged.levels, state.levels)
-
-    def test_tile_count_mismatch(self, toy_ladder):
-        with pytest.raises(ValueError, match="disagree on tile count"):
-            refine(TileState(np.array([0, 0])), np.array(TOY_PROBS), 100,
-                   SizeModel(), toy_ladder, UtilityModel("linear"))
-
-
 class TestRunPlan:
     def test_two_passes_recover_the_single_shot_optimum(self, toy_ladder, toy_instance):
         p = np.array(TOY_PROBS)
@@ -130,6 +113,23 @@ class TestRunPlan:
         full = run_plan(plan, toy_ladder, UtilityModel("linear"),
                         size_model=SizeModel("redownload"))
         assert full[-1].value < svc[-1].value
+
+    def test_later_pass_never_drops_a_cached_level(self, toy_ladder):
+        # the second pass favors tile 1; for a smoother front it solves to (1, 1, 0),
+        # below the cached level of tile 0
+        plan = PrefetchPlan((PrefetchPass(20.0, 200, [0.9, 0.05, 0.05]),
+                             PrefetchPass(5.0, 100, [0.05, 0.9, 0.05])))
+        first, second = run_plan(plan, toy_ladder, UtilityModel("linear"), beta=0.1)
+        np.testing.assert_array_equal(first.state.levels, [2, 0, 0])
+        np.testing.assert_array_equal(second.state.levels, [2, 1, 0])
+
+    def test_zero_budget_pass_keeps_the_state(self, toy_ladder):
+        # with nothing to spend the second pass solves to all zeros
+        plan = PrefetchPlan((PrefetchPass(20.0, 200, [0.9, 0.05, 0.05]),
+                             PrefetchPass(5.0, 0, [0.05, 0.05, 0.9])))
+        first, second = run_plan(plan, toy_ladder, UtilityModel("linear"), beta=0.1)
+        np.testing.assert_array_equal(first.state.levels, [2, 0, 0])
+        np.testing.assert_array_equal(second.state.levels, first.state.levels)
 
     def test_levels_climb_monotonically(self):
         rng = np.random.default_rng(3)
@@ -175,4 +175,3 @@ def test_run_plan_reports_pass_metadata(toy_ladder):
     results = run_plan(plan, toy_ladder, UtilityModel("linear"))
     assert [r.index for r in results] == [0, 1]
     assert [r.lead_time_s for r in results] == [9.0, 4.0]
-    assert all(r.report.method == "dp" for r in results)

@@ -22,7 +22,6 @@ from prefetch360 import (
     parse_trace,
     phase_split_cdf,
     random_walk_trace,
-    rebase_yaw,
     sinusoid_trace,
     uniform_random_trace,
     velocity_prediction_error,
@@ -122,6 +121,16 @@ class TestParseAndWrite:
         with pytest.raises(ValueError, match=message):
             parse_trace(path)
 
+    def test_yaw_and_roll_just_below_minus_180_wrap_into_range(self, tmp_path):
+        # (x + 180) % 360 rounds up to 360 here; the rebase by the first yaw of 10
+        # moves that sample to -190, which wraps to 170, and roll is not rebased
+        below = repr(float(np.nextafter(-180.0, -np.inf)))
+        path = tmp_path / "t.csv"
+        path.write_text(f"t_s,yaw_deg,pitch_deg,roll_deg\n0,10,0,0\n1,{below},0,{below}\n")
+        trace = parse_trace(path)
+        assert trace.yaw.tolist() == [0.0, 170.0]
+        assert trace.roll.tolist() == [0.0, -180.0]
+
     def test_sidecar_must_be_an_object(self, tmp_path):
         trace = constant_trace(duration_s=1.0, rate_hz=5.0)
         path = tmp_path / "t.csv"
@@ -216,17 +225,10 @@ class TestParsePaths:
 
 
 class TestRebaseAndResample:
-    def test_rebase_moves_the_start_to_zero(self):
-        trace = manual_trace([0.0, 1.0, 2.0], [100.0, 110.0, 90.0])
-        based = rebase_yaw(trace)
-        np.testing.assert_allclose(based.yaw, [0.0, 10.0, -10.0])
-
-    def test_rebase_is_idempotent(self):
-        rng = np.random.default_rng(5)
-        trace = random_walk_trace(duration_s=10.0, rate_hz=20.0, rng=rng)
-        once = rebase_yaw(trace)
-        twice = rebase_yaw(once)
-        np.testing.assert_array_equal(once.yaw, twice.yaw)
+    def test_rebase_moves_the_start_to_zero(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("t_s,yaw_deg,pitch_deg,roll_deg\n0,100,0,0\n1,110,0,0\n2,90,0,0\n")
+        np.testing.assert_allclose(parse_trace(path).yaw, [0.0, 10.0, -10.0])
 
     def test_yaw_at_recovers_samples(self):
         trace = sinusoid_trace(40.0, 6.0, duration_s=3.0, rate_hz=20.0)
