@@ -58,11 +58,9 @@ class TestStateAndPlanValidation:
             PrefetchPlan(())
         with pytest.raises(ValueError, match="strictly decrease"):
             PrefetchPlan((PrefetchPass(5.0, 10, p), PrefetchPass(5.0, 10, p)))
-        # a pass checks its vector when built, and a plan its tile count
+        # a pass checks its vector when built
         with pytest.raises(ValueError, match="sum to 1"):
             PrefetchPass(1.0, 10, [0.5, 0.6])
-        with pytest.raises(ValueError, match="disagree on tile count"):
-            PrefetchPlan((PrefetchPass(5.0, 10, [0.5, 0.5]), PrefetchPass(1.0, 10, p)))
 
 
 class TestUpgradeSizes:
@@ -92,6 +90,14 @@ class TestUpgradeSizes:
     def test_rejects_states_above_the_ladder(self, toy_ladder):
         with pytest.raises(ValueError, match="exceeds the ladder"):
             upgrade_sizes(TileState(np.array([3, 0, 0])), toy_ladder, SizeModel())
+
+
+class TestRefine:
+    def test_tile_count_mismatch(self):
+        # every pass refines the same tiles, so a plan refuses mixed tile counts
+        with pytest.raises(ValueError, match="disagree on tile count"):
+            PrefetchPlan((PrefetchPass(5.0, 10, [0.5, 0.5]),
+                          PrefetchPass(1.0, 10, np.array(TOY_PROBS))))
 
 
 class TestRunPlan:
