@@ -11,8 +11,6 @@ __all__ = [
     "wrap_deg",
     "circ_diff_deg",
     "circ_dist_deg",
-    "unwrap_deg",
-    "interp_angle_deg",
 ]
 
 

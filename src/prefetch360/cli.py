@@ -24,13 +24,14 @@ from pathlib import Path
 import numpy as np
 
 from .config import (
+    ORACLE_BATCH_LIMIT,  # noqa: F401 - read as cli.ORACLE_BATCH_LIMIT
     ConfigError,
-    _int,
     load_json,
     load_traces,
     parse_analyze,
     parse_gen,
     parse_instance,
+    parse_oracle,
     parse_schedule,
     parse_sweep,
 )
@@ -44,14 +45,7 @@ from .model import (
 )
 from .optimizer import brute_force, solve_dp, solve_mckp
 from .scheduler import run_plan
-from .synth import (
-    constant_trace,
-    explore_then_fixate_trace,
-    linear_rotation_trace,
-    random_walk_trace,
-    sinusoid_trace,
-    uniform_random_trace,
-)
+from .synth import COHORT
 from .traces import (
     angle_utilization_cdf,
     heatmap,
@@ -72,9 +66,6 @@ REFERENCE_BANDS = (
 )
 
 ORACLE_TOL = 1e-9
-
-# random instances one oracle batch may check; 1,000 take under 2 s
-ORACLE_BATCH_LIMIT = 10**5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -246,20 +237,12 @@ def _random_instance(rng: np.random.Generator, max_tiles=5, max_levels=3, max_ca
 
 def cmd_oracle(args) -> int:
     cfg = load_json(args.config)
-    checks = []
-    if "batch" in cfg:
-        batch = cfg["batch"]
-        if not isinstance(batch, dict):
-            raise ConfigError("batch: expected an object")
-        count = _int({"batch.count": batch.get("count", 100)}, "batch.count")
-        if not 1 <= count <= ORACLE_BATCH_LIMIT:
-            raise ConfigError(f"batch.count: expected a positive integer of at most "
-                              f"{ORACLE_BATCH_LIMIT}")
-        rng = np.random.default_rng(args.seed)
-        for i in range(count):
-            checks.append((f"batch[{i}]", _random_instance(rng)))
+    count = parse_oracle(cfg)
+    if count is None:
+        checks = [("config", parse_instance(cfg, getattr(args, "traces", None)))]
     else:
-        checks.append(("config", parse_instance(cfg, getattr(args, "traces", None))))
+        rng = np.random.default_rng(args.seed)
+        checks = [(f"batch[{i}]", _random_instance(rng)) for i in range(count)]
 
     mismatches = []
     max_gap = 0.0
@@ -297,25 +280,8 @@ def cmd_gen_traces(args) -> int:
     written = []
     for k, kind in enumerate(spec["kinds"]):
         for i in range(spec["count"]):
-            rng = np.random.default_rng([args.seed, k, i])
-            user = f"u{i:03d}"
-            if kind == "constant":
-                trace = constant_trace(((30.0 + 70.0 * i + 180.0) % 360.0) - 180.0,
-                                       duration, rate, video_id=kind, user_id=user)
-            elif kind == "rotation":
-                trace = linear_rotation_trace((10.0 + 5.0 * i) * (-1 if i % 2 else 1),
-                                              duration, rate, video_id=kind, user_id=user)
-            elif kind == "sinusoid":
-                trace = sinusoid_trace(30.0 + 10.0 * (i % 5), 8.0 + 2.0 * i,
-                                       duration, rate, video_id=kind, user_id=user)
-            elif kind == "uniform":
-                trace = uniform_random_trace(duration, rate, rng, video_id=kind, user_id=user)
-            elif kind == "walk":
-                trace = random_walk_trace(duration, rate, 1.0 + 0.5 * i, rng=rng,
-                                          video_id=kind, user_id=user)
-            else:
-                trace = explore_then_fixate_trace(duration, rate, rng=rng,
-                                                  video_id=kind, user_id=user)
+            trace = COHORT[kind](i, duration, rate, np.random.default_rng([args.seed, k, i]),
+                                 video_id=kind, user_id=f"u{i:03d}")
             # created only once a trace exists, so a refused config leaves nothing behind
             out_dir.mkdir(parents=True, exist_ok=True)
             path = out_dir / f"{kind}_{i:03d}.csv"

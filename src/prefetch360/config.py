@@ -9,6 +9,7 @@ Errors raise ConfigError with the offending key in the message.
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +24,8 @@ from .model import (
     _check_beta,
 )
 from .optimizer import _check_parents_table
-from .scheduler import PrefetchPass, PrefetchPlan, SizeModel, _check_lead_time
-from .synth import EXPLORE_SPLIT_S, _sample_count
+from .scheduler import PrefetchPass, PrefetchPlan, SizeModel
+from .synth import COHORT, EXPLORE_SPLIT_S, _sample_count
 from .traces import CATEGORIES, GRID_LIMIT, parse_trace
 from .viewprob import (
     circular_smooth,
@@ -48,11 +49,15 @@ __all__ = [
     "parse_sweep",
     "parse_gen",
     "parse_analyze",
+    "parse_oracle",
 ]
 
 
 # smoothing steps of the convolved family, one per sweep lag; far past any lag grid in use
 MAX_STEPS = 1000
+
+# random instances one oracle batch may check; 1,000 take under 2 s
+ORACLE_BATCH_LIMIT = 10**5
 
 
 class ConfigError(ValueError):
@@ -225,11 +230,14 @@ def parse_instance(cfg: dict, traces_dir=None) -> Instance:
     ladder = parse_ladder(cfg)
     utility = parse_utility(cfg)
     grid = DirectionGrid(_int(cfg, "N"))
-    probs = build_probs(_require(cfg, "probs"), grid, traces_dir)
+    capacity, beta = _int(cfg, "capacity"), _number(cfg, "beta", 0.0)
     try:
-        return Instance(grid, ladder, utility, probs,
-                        capacity=_int(cfg, "capacity"),
-                        beta=_number(cfg, "beta", 0.0))
+        # every scalar, and the DP table they size, is checked before a trace is parsed
+        _check_beta(beta)
+        _check_parents_table(ladder.n_levels + 1, grid.n_tiles,
+                             int(_as_nonneg_ints(capacity, "capacity")))
+        probs = build_probs(_require(cfg, "probs"), grid, traces_dir)
+        return Instance(grid, ladder, utility, probs, capacity, beta)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -237,9 +245,9 @@ def parse_instance(cfg: dict, traces_dir=None) -> Instance:
 def parse_schedule(cfg: dict, traces_dir=None):
     """Check a whole schedule config, before any solve.
 
-    Returns (plan, ladder, utility, beta, size_model).  Every pass's vector is
-    built on the config's grid, and the DP parents table is checked at the
-    largest budget.
+    Returns (plan, ladder, utility, beta, size_model).  The scalars, the lead
+    order and the DP parents table at the largest budget are checked on a
+    plan of flat vectors before any pass's own vector is built on the grid.
     """
     ladder = parse_ladder(cfg)
     utility = parse_utility(cfg)
@@ -256,28 +264,27 @@ def parse_schedule(cfg: dict, traces_dir=None):
     raw_passes = _require(cfg, "passes")
     if not isinstance(raw_passes, list) or not raw_passes:
         raise ConfigError("passes: expected a non-empty list")
+    flat = np.full(grid.n_tiles, 1.0 / grid.n_tiles)
     passes = []
     for i, block in enumerate(raw_passes):
         if not isinstance(block, dict):
             raise ConfigError(f"passes[{i}]: expected an object")
         lead = _number(block, "lead_s")
-        try:
-            _check_lead_time(lead)
-        except ValueError as exc:
-            raise ConfigError(f"passes[{i}]: {exc}") from None
-        probs_spec = _require(block, "probs")
-        if not isinstance(probs_spec, dict):
+        if not isinstance(_require(block, "probs"), dict):
             raise ConfigError(f"passes[{i}].probs: expected an object")
-        probs = build_probs({"lag_s": lead, **probs_spec}, grid, traces_dir)
         try:
-            passes.append(PrefetchPass(lead, _int(block, "budget"), probs))
+            passes.append(PrefetchPass(lead, _int(block, "budget"), flat))
         except ValueError as exc:
             raise ConfigError(f"passes[{i}]: {exc}") from None
     try:
-        plan = PrefetchPlan(tuple(passes))
+        _check_beta(beta)
+        PrefetchPlan(tuple(passes))
         _check_parents_table(ladder.n_levels + 1, grid.n_tiles, max(p.budget for p in passes))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    plan = PrefetchPlan(tuple(
+        replace(p, probs=build_probs({"lag_s": p.lead_time_s, **block["probs"]}, grid, traces_dir))
+        for p, block in zip(passes, raw_passes)))
     return plan, ladder, utility, beta, size_model
 
 
@@ -331,12 +338,12 @@ def parse_sweep(cfg: dict, traces_dir=None):
 
 def parse_gen(cfg: dict) -> dict:
     """Normalize a gen-traces config, refusing any cohort a generator would refuse."""
-    known = ("constant", "rotation", "sinusoid", "uniform", "walk", "explore")
-    kinds = _as_list(cfg.get("kinds", list(known)))
+    kinds = _as_list(cfg.get("kinds", list(COHORT)))
     if not kinds:
         raise ConfigError("kinds: expected a non-empty list")
     for i, kind in enumerate(kinds):
-        if kind not in known:
+        # an unhashable kind, such as a list, cannot be looked up
+        if not isinstance(kind, str) or kind not in COHORT:
             raise ConfigError(f"kinds: unknown generator {kind!r}")
         if kind in kinds[:i]:
             raise ConfigError(f"kinds: generator {kind!r} is listed twice")
@@ -355,6 +362,20 @@ def parse_gen(cfg: dict) -> dict:
         raise ConfigError(f"count_per_kind: {count} per kind x {len(kinds)} kinds x {samples} "
                           f"samples is more than {GRID_LIMIT} samples in all")
     return {"kinds": kinds, "count": count, "duration_s": duration, "rate_hz": rate}
+
+
+def parse_oracle(cfg: dict) -> int | None:
+    """The instance count of an oracle ``batch`` block, or None for a one-instance config."""
+    if "batch" not in cfg:
+        return None
+    batch = cfg["batch"]
+    if not isinstance(batch, dict):
+        raise ConfigError("batch: expected an object")
+    count = _int({"batch.count": batch.get("count", 100)}, "batch.count")
+    if not 1 <= count <= ORACLE_BATCH_LIMIT:
+        raise ConfigError(f"batch.count: expected a positive integer of at most "
+                          f"{ORACLE_BATCH_LIMIT}")
+    return count
 
 
 def parse_analyze(cfg: dict) -> dict:

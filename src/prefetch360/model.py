@@ -23,7 +23,6 @@ from functools import cached_property
 import numpy as np
 
 __all__ = [
-    "UTILITY_KINDS",
     "QualityLadder",
     "UtilityModel",
     "DirectionGrid",

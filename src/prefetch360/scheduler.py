@@ -25,7 +25,6 @@ from .model import _as_nonneg_ints, _as_prob_array
 from .optimizer import solve_dp
 
 __all__ = [
-    "SIZE_MODES",
     "TileState",
     "SizeModel",
     "PrefetchPass",
@@ -68,11 +67,6 @@ class SizeModel:
             raise ValueError("overhead must lie in [0, 1]")
 
 
-def _check_lead_time(lead_time_s) -> None:
-    if not (np.isfinite(lead_time_s) and lead_time_s >= 0):
-        raise ValueError("lead time must be finite and nonnegative")
-
-
 @dataclass(frozen=True, eq=False)
 class PrefetchPass:
     """One booking opportunity: how far ahead, how much budget, which probs."""
@@ -82,7 +76,8 @@ class PrefetchPass:
     probs: object
 
     def __post_init__(self):
-        _check_lead_time(self.lead_time_s)
+        if not (np.isfinite(self.lead_time_s) and self.lead_time_s >= 0):
+            raise ValueError("lead time must be finite and nonnegative")
         object.__setattr__(self, "budget", int(_as_nonneg_ints(self.budget, "budget")))
         object.__setattr__(self, "probs", _as_prob_array(self.probs))
 

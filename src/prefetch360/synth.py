@@ -4,6 +4,11 @@ Every generator returns a HeadTrace sampled at a uniform rate with pitch and
 roll held at zero; the interesting structure lives in yaw.  Velocities are
 analytic where the motion has a closed form and central finite differences
 otherwise.
+
+``COHORT`` maps each ``gen-traces`` kind to a callable
+``(i, duration_s, rate_hz, rng, **ids) -> HeadTrace`` that sets viewer i's
+parameters (yaw, speed, period, step size) and calls the kind's generator;
+its keys are the kinds ``gen-traces`` accepts and writes by default.
 """
 
 import numpy as np
@@ -121,3 +126,21 @@ def explore_then_fixate_trace(duration_s: float = 60.0, rate_hz: float = 100.0,
     yaw[frozen] = yaw[np.argmax(frozen)]
     return _assemble(walk.t, yaw, _finite_diff(walk.t, yaw, circular=True),
                      video_id, user_id, "static_focus")
+
+
+# each entry looks its generator up when called, so a wrapper swapped into this
+# module's namespace sees every call
+COHORT = {
+    "constant": lambda i, duration_s, rate_hz, rng, **ids: constant_trace(
+        ((30.0 + 70.0 * i + 180.0) % 360.0) - 180.0, duration_s, rate_hz, **ids),
+    "rotation": lambda i, duration_s, rate_hz, rng, **ids: linear_rotation_trace(
+        (10.0 + 5.0 * i) * (-1 if i % 2 else 1), duration_s, rate_hz, **ids),
+    "sinusoid": lambda i, duration_s, rate_hz, rng, **ids: sinusoid_trace(
+        30.0 + 10.0 * (i % 5), 8.0 + 2.0 * i, duration_s, rate_hz, **ids),
+    "uniform": lambda i, duration_s, rate_hz, rng, **ids: uniform_random_trace(
+        duration_s, rate_hz, rng, **ids),
+    "walk": lambda i, duration_s, rate_hz, rng, **ids: random_walk_trace(
+        duration_s, rate_hz, 1.0 + 0.5 * i, rng=rng, **ids),
+    "explore": lambda i, duration_s, rate_hz, rng, **ids: explore_then_fixate_trace(
+        duration_s, rate_hz, rng=rng, **ids),
+}

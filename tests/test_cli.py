@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -28,7 +29,7 @@ from prefetch360 import (
     UtilityModel,
     eval_objective,
 )
-from prefetch360 import cli, scheduler
+from prefetch360 import cli, scheduler, traces
 from prefetch360.cli import ORACLE_BATCH_LIMIT, main
 from prefetch360.optimizer import SolveStats
 
@@ -302,6 +303,37 @@ class TestExitCodes:
         cfg = write_config(tmp_path, TOY_SOLVE)
         assert main(["solve", "--config", cfg]) == 2
         assert "internal error" in capsys.readouterr().err
+
+    EMPIRICAL_SOLVE = {"rates": [100, 200], "N": 3, "capacity": 300,
+                       "probs": {"family": "empirical", "lag_s": 1.0, "stride_s": 0.5}}
+
+    @staticmethod
+    def empirical_schedule(leads=(5, 1), budgets=(100, 200), **keys):
+        return {"rates": [100, 200], "N": 3, **keys,
+                "passes": [{"lead_s": lead, "budget": budget,
+                            "probs": {"family": "empirical", "stride_s": 0.5}}
+                           for lead, budget in zip(leads, budgets)]}
+
+    @pytest.mark.parametrize("command, config, message", [
+        ("solve", {**EMPIRICAL_SOLVE, "capacity": -1}, "capacity must be a nonnegative integer"),
+        ("solve", {**EMPIRICAL_SOLVE, "beta": 7}, "beta must lie in [0, 1]"),
+        ("solve", {**EMPIRICAL_SOLVE, "N": 24, "capacity": 10**8}, "DP parents table needs"),
+        ("schedule", empirical_schedule(beta=7), "beta must lie in [0, 1]"),
+        ("schedule", empirical_schedule(leads=(1, 5)), "lead times must strictly decrease"),
+        ("schedule", empirical_schedule(budgets=(100, -1)),
+         "passes[1]: budget must be a nonnegative integer"),
+    ], ids=["solve-capacity-negative", "solve-beta-7", "solve-parents-table",
+            "schedule-beta-7", "schedule-leads-increasing", "schedule-budget-negative"])
+    def test_refused_config_parses_no_trace(self, tmp_path, small_cohort, command, config,
+                                            message):
+        # scalars and the DP table are checked before the first vector is built
+        cfg = write_config(tmp_path, config)
+        with mock.patch("prefetch360.config.parse_trace", wraps=traces.parse_trace) as parse:
+            code, out, err = run_main([command, "--config", cfg, "--traces", str(small_cohort)])
+        lines = err.splitlines()
+        assert code == 1 and out == "" and len(lines) == 1, (code, lines)
+        assert lines[0].startswith("error:") and message in lines[0]
+        assert parse.call_count == 0
 
 
 class TestSweep:
@@ -588,6 +620,19 @@ class TestGenTraces:
         walk = "walk_000.csv"
         assert (a / walk).read_bytes() == (b / walk).read_bytes()
         assert (a / walk).read_bytes() != (c / walk).read_bytes()
+
+    def test_default_kinds_write_pinned_bytes(self, tmp_path, capsys):
+        # two viewers of every cohort kind; the digest covers each file's name and bytes
+        cfg = write_config(tmp_path, {"count_per_kind": 2, "duration_s": 30, "rate_hz": 10})
+        out = tmp_path / "traces"
+        assert main(["gen-traces", "--config", cfg, "--out", str(out), "--seed", "7"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["written"]) == 12
+        digest = hashlib.sha256()
+        for path in sorted(out.iterdir()):
+            digest.update(path.name.encode())
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == \
+            "997e4d07a181640967ea963b7414e2f84183b419b2634d5e2b4be20de1fe1421"
 
     def test_out_is_required(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"kinds": ["constant"]})
