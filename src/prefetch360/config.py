@@ -43,7 +43,6 @@ __all__ = [
     "parse_ladder",
     "parse_utility",
     "build_probs",
-    "sweep_probs",
     "parse_instance",
     "parse_schedule",
     "parse_sweep",
@@ -84,11 +83,9 @@ def _require(cfg: dict, key: str):
 
 
 def _number(cfg: dict, key: str, default=None):
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
+    if default is not None and key not in cfg:
         return default
-    value = cfg[key]
+    value = _require(cfg, key)
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{key}: expected a number")
     if isinstance(value, int) and abs(value) > sys.float_info.max:
@@ -98,14 +95,32 @@ def _number(cfg: dict, key: str, default=None):
 
 
 def _int(cfg: dict, key: str, default=None):
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
+    if default is not None and key not in cfg:
         return default
-    value = cfg[key]
+    value = _require(cfg, key)
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigError(f"{key}: expected an integer")
     return value
+
+
+def _object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name}: expected an object")
+    return value
+
+
+def _names(cfg: dict, key: str, known, noun: str) -> list:
+    """A non-empty list of known names, each listed once; every known name by default."""
+    names = _as_list(cfg.get(key, list(known)))
+    if not names:
+        raise ConfigError(f"{key}: expected a non-empty list")
+    for i, name in enumerate(names):
+        # an unhashable name, such as a list, cannot be looked up
+        if not isinstance(name, str) or name not in known:
+            raise ConfigError(f"{key}: unknown {noun} {name!r}")
+        if name in names[:i]:
+            raise ConfigError(f"{key}: {noun} {name!r} is listed twice")
+    return names
 
 
 def _as_list(value):
@@ -133,9 +148,7 @@ def parse_ladder(cfg: dict) -> QualityLadder:
 
 
 def parse_utility(cfg: dict) -> UtilityModel:
-    block = cfg.get("utility", {"kind": "linear"})
-    if not isinstance(block, dict):
-        raise ConfigError("utility: expected an object")
+    block = _object(cfg.get("utility", {"kind": "linear"}), "utility")
     kind = block.get("kind", "linear")
     try:
         return UtilityModel(kind,
@@ -165,9 +178,7 @@ def load_traces(traces_dir, category: str | None = None) -> list:
 
 def build_probs(spec: dict, grid: DirectionGrid, traces_dir=None) -> np.ndarray:
     """Build a probability vector from a ``probs`` config block."""
-    if not isinstance(spec, dict):
-        raise ConfigError("probs: expected an object")
-    family = spec.get("family")
+    family = _object(spec, "probs").get("family")
     lag = _number(spec, "lag_s", 0.0)
     # inf is the lifetime distribution of the empirical family
     if not lag >= 0:
@@ -214,18 +225,6 @@ def _convolved(spec: dict, grid: DirectionGrid, steps: int) -> list:
     return vectors
 
 
-def sweep_probs(family: dict, lags, grid: DirectionGrid, traces_dir=None) -> list:
-    """One vector per sweep lag from a probs block keyed by ``kind``.
-
-    Lag index i sets ``lag_s = lags[i]`` and ``steps = i``, so each convolved
-    vector is the one before smoothed once more.
-    """
-    spec = {**family, "family": family["kind"]}
-    if family["kind"] == "convolved":
-        return _convolved(spec, grid, len(lags) - 1)
-    return [build_probs({**spec, "lag_s": lag}, grid, traces_dir) for lag in lags]
-
-
 def parse_instance(cfg: dict, traces_dir=None) -> Instance:
     ladder = parse_ladder(cfg)
     utility = parse_utility(cfg)
@@ -253,9 +252,7 @@ def parse_schedule(cfg: dict, traces_dir=None):
     utility = parse_utility(cfg)
     grid = DirectionGrid(_int(cfg, "N"))
     beta = _number(cfg, "beta", 0.0)
-    sm_block = cfg.get("size_model", {})
-    if not isinstance(sm_block, dict):
-        raise ConfigError("size_model: expected an object")
+    sm_block = _object(cfg.get("size_model", {}), "size_model")
     try:
         size_model = SizeModel(sm_block.get("mode", "svc_ideal"),
                                _number(sm_block, "overhead", 0.0))
@@ -267,11 +264,8 @@ def parse_schedule(cfg: dict, traces_dir=None):
     flat = np.full(grid.n_tiles, 1.0 / grid.n_tiles)
     passes = []
     for i, block in enumerate(raw_passes):
-        if not isinstance(block, dict):
-            raise ConfigError(f"passes[{i}]: expected an object")
-        lead = _number(block, "lead_s")
-        if not isinstance(_require(block, "probs"), dict):
-            raise ConfigError(f"passes[{i}].probs: expected an object")
+        lead = _number(_object(block, f"passes[{i}]"), "lead_s")
+        _object(_require(block, "probs"), f"passes[{i}].probs")
         try:
             passes.append(PrefetchPass(lead, _int(block, "budget"), flat))
         except ValueError as exc:
@@ -293,9 +287,10 @@ def parse_sweep(cfg: dict, traces_dir=None):
 
     Returns (label, capacities, betas, lags, ladders, utilities, grids):
     ``(f, ladder)`` and ``(label, utility)`` pairs, and one ``(grid, vectors)``
-    pair per ``N`` with one vector per lag.  Scalar knobs count as one-element
-    lists; only ``capacity`` may be empty, since an empty knob would skip every
-    other check.
+    pair per ``N`` with one vector per lag.  Lag index i builds the family with
+    ``lag_s = lags[i]`` and ``steps = i``, so each convolved vector is the one
+    before smoothed once more.  Scalar knobs count as one-element lists; only
+    ``capacity`` may be empty, since an empty knob would skip every other check.
     """
     for key in ("N", "f", "beta", "utility", "lags"):
         if cfg.get(key) == []:
@@ -332,21 +327,21 @@ def parse_sweep(cfg: dict, traces_dir=None):
                 _check_parents_table(ladders[0][1].n_levels + 1, grid.n_tiles, max(caps))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        grids.append((grid, sweep_probs(family, lags, grid, traces_dir)))
-    return label, caps, betas, lags, ladders, utilities, grids
+        grids.append(grid)
+    # every grid and parents table is checked before the first vector, so a refused
+    # sweep parses no trace
+    spec = {**family, "family": family["kind"]}
+    if family["kind"] == "convolved":
+        vectors = [_convolved(spec, grid, len(lags) - 1) for grid in grids]
+    else:
+        vectors = [[build_probs({**spec, "lag_s": lag}, grid, traces_dir) for lag in lags]
+                   for grid in grids]
+    return label, caps, betas, lags, ladders, utilities, list(zip(grids, vectors))
 
 
 def parse_gen(cfg: dict) -> dict:
     """Normalize a gen-traces config, refusing any cohort a generator would refuse."""
-    kinds = _as_list(cfg.get("kinds", list(COHORT)))
-    if not kinds:
-        raise ConfigError("kinds: expected a non-empty list")
-    for i, kind in enumerate(kinds):
-        # an unhashable kind, such as a list, cannot be looked up
-        if not isinstance(kind, str) or kind not in COHORT:
-            raise ConfigError(f"kinds: unknown generator {kind!r}")
-        if kind in kinds[:i]:
-            raise ConfigError(f"kinds: generator {kind!r} is listed twice")
+    kinds = _names(cfg, "kinds", COHORT, "generator")
     count = _int(cfg, "count_per_kind", 2)
     if count < 1:
         raise ConfigError("count_per_kind: must be at least 1")
@@ -368,9 +363,7 @@ def parse_oracle(cfg: dict) -> int | None:
     """The instance count of an oracle ``batch`` block, or None for a one-instance config."""
     if "batch" not in cfg:
         return None
-    batch = cfg["batch"]
-    if not isinstance(batch, dict):
-        raise ConfigError("batch: expected an object")
+    batch = _object(cfg["batch"], "batch")
     count = _int({"batch.count": batch.get("count", 100)}, "batch.count")
     if not 1 <= count <= ORACLE_BATCH_LIMIT:
         raise ConfigError(f"batch.count: expected a positive integer of at most "
@@ -381,14 +374,7 @@ def parse_oracle(cfg: dict) -> int | None:
 def parse_analyze(cfg: dict) -> dict:
     known = ("utilization", "heatmap", "pairwise", "yaw_change",
              "velocity_error", "origin_sectors", "phase_split")
-    metrics = _as_list(cfg.get("metrics", list(known)))
-    if not metrics:
-        raise ConfigError("metrics: expected a non-empty list")
-    for i, metric in enumerate(metrics):
-        if metric not in known:
-            raise ConfigError(f"metrics: unknown metric {metric!r}")
-        if metric in metrics[:i]:
-            raise ConfigError(f"metrics: metric {metric!r} is listed twice")
+    metrics = _names(cfg, "metrics", known, "metric")
     lags = _each(cfg, "lags", _number, [1.0])
     if not lags:
         raise ConfigError("lags: expected a non-empty list")

@@ -256,6 +256,37 @@ class TestExitCodes:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:") and key in lines[0]
 
+    @pytest.mark.parametrize("command, config, message", [
+        ("solve", {**TOY_SOLVE, "utility": 5}, "utility: expected an object"),
+        ("sweep", {**SWEEP, "utility": [{"kind": "linear"}, "sqrt"]},
+         "utility: expected an object"),
+        ("solve", {**TOY_SOLVE, "probs": [0.5, 0.5]}, "probs: expected an object"),
+        ("schedule", {**one_pass_schedule(), "size_model": "redownload"},
+         "size_model: expected an object"),
+        ("schedule", {**one_pass_schedule(), "passes": [[5, 10]]},
+         "passes[0]: expected an object"),
+        ("schedule", one_pass_schedule(probs="uniform"), "passes[0].probs: expected an object"),
+        ("oracle", {"batch": 5}, "batch: expected an object"),
+        ("gen-traces", {"kinds": []}, "kinds: expected a non-empty list"),
+        ("gen-traces", {"kinds": ["walk", "nope"]}, "kinds: unknown generator 'nope'"),
+        ("gen-traces", {"kinds": [["walk"]]}, "kinds: unknown generator ['walk']"),
+        ("gen-traces", {"kinds": ["walk", "rotation", "walk"]},
+         "kinds: generator 'walk' is listed twice"),
+        ("analyze", {"metrics": []}, "metrics: expected a non-empty list"),
+        ("analyze", {"metrics": "nope"}, "metrics: unknown metric 'nope'"),
+        ("analyze", {"metrics": [["heatmap"]]}, "metrics: unknown metric ['heatmap']"),
+        ("analyze", {"metrics": ["heatmap", "heatmap"]},
+         "metrics: metric 'heatmap' is listed twice"),
+    ], ids=["solve-utility", "sweep-utility", "solve-probs", "schedule-size-model",
+            "schedule-pass", "schedule-pass-probs", "oracle-batch", "kinds-empty",
+            "kinds-unknown", "kinds-list", "kinds-twice", "metrics-empty", "metrics-unknown",
+            "metrics-list", "metrics-twice"])
+    def test_refused_config_prints_the_exact_message(self, tmp_path, command, config, message):
+        cfg = write_config(tmp_path, config)
+        out = str(tmp_path / "out")
+        assert run_main([command, "--config", cfg, "--out", out]) == (1, "", f"error: {message}\n")
+        assert not Path(out).exists()
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command, n_tiles", [
         ("solve", 361), ("solve", 10**13), ("solve", 10**400), ("sweep", 10**13),
@@ -307,6 +338,9 @@ class TestExitCodes:
     EMPIRICAL_SOLVE = {"rates": [100, 200], "N": 3, "capacity": 300,
                        "probs": {"family": "empirical", "lag_s": 1.0, "stride_s": 0.5}}
 
+    EMPIRICAL_SWEEP = {"rates": list(SIX_LEVEL_RATES), "N": 6, "capacity": [5000],
+                       "lags": [1.0, 2.0], "family": {"kind": "empirical", "stride_s": 0.5}}
+
     @staticmethod
     def empirical_schedule(leads=(5, 1), budgets=(100, 200), **keys):
         return {"rates": [100, 200], "N": 3, **keys,
@@ -322,8 +356,12 @@ class TestExitCodes:
         ("schedule", empirical_schedule(leads=(1, 5)), "lead times must strictly decrease"),
         ("schedule", empirical_schedule(budgets=(100, -1)),
          "passes[1]: budget must be a nonnegative integer"),
+        ("sweep", {**EMPIRICAL_SWEEP, "N": [6, 24], "capacity": [500000]},
+         "DP parents table needs"),
+        ("sweep", {**EMPIRICAL_SWEEP, "N": [6, 361]}, "at most 360"),
     ], ids=["solve-capacity-negative", "solve-beta-7", "solve-parents-table",
-            "schedule-beta-7", "schedule-leads-increasing", "schedule-budget-negative"])
+            "schedule-beta-7", "schedule-leads-increasing", "schedule-budget-negative",
+            "sweep-later-N-parents-table", "sweep-later-N-361"])
     def test_refused_config_parses_no_trace(self, tmp_path, small_cohort, command, config,
                                             message):
         # scalars and the DP table are checked before the first vector is built
@@ -424,21 +462,21 @@ class TestSweep:
 
         lags = [float(t) for t in range(1, 21)]
         family = {"kind": "convolved", "base_sigma_deg": 20.0, "kernel_sigma_deg": 40.0}
-        cfg = write_config(tmp_path, {**self.SWEEP, "N": [4, 6], "lags": lags, "family": family})
+        sweep = {**self.SWEEP, "N": [4, 6], "lags": lags, "family": family}
         calls = []
         smooth = config.circular_smooth
         monkeypatch.setattr(config, "circular_smooth",
                             lambda p, kernel: calls.append(1) or smooth(p, kernel))
-        code, out, err = run_main(["sweep", "--config", cfg])
+        code, _, err = run_main(["sweep", "--config", write_config(tmp_path, sweep)])
         assert code == 0 and err == "" and len(calls) == 2 * (len(lags) - 1)
 
-        def per_lag(family, lags, grid, traces_dir=None):
-            spec = {**family, "family": family["kind"]}
-            return [config.build_probs({**spec, "lag_s": lag, "steps": i}, grid)
-                    for i, lag in enumerate(lags)]
-
-        monkeypatch.setattr(config, "sweep_probs", per_lag)
-        assert run_main(["sweep", "--config", cfg]) == (0, out, "")
+        *_, grids = config.parse_sweep(sweep)
+        assert [(grid.n_tiles, len(vectors)) for grid, vectors in grids] == [(4, 20), (6, 20)]
+        spec = {**family, "family": "convolved"}
+        for grid, vectors in grids:
+            for i, probs in enumerate(vectors):
+                per_lag = config.build_probs({**spec, "lag_s": lags[i], "steps": i}, grid)
+                assert np.array_equal(probs, per_lag)
 
     REFUSED_BASE = {"rates": list(SIX_LEVEL_RATES), "N": 6, "capacity": [5000], "lags": [1, 2],
                     "family": {"kind": "wrapped_gaussian_sqrt"}}
