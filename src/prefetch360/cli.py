@@ -8,8 +8,9 @@ Subcommands:
   oracle      cross-check the DP against the exhaustive reference solver
   gen-traces  write synthetic head traces for the analytics to chew on
 
-Exit codes: 0 success, 1 config or validation error, 2 runtime failure
-(including an oracle mismatch).  CSV output uses 6 decimal places and a
+Exit codes: 0 success, 1 refused input (any ValueError or OSError: a bad
+argument, config or trace file, printed as one ``error:`` line), 2 runtime
+failure (including an oracle mismatch).  CSV output uses 6 decimal places and a
 deterministic row order, so identical configs and seeds produce identical
 bytes.
 """
@@ -25,7 +26,6 @@ import numpy as np
 
 from .config import (
     ORACLE_BATCH_LIMIT,  # noqa: F401 - read as cli.ORACLE_BATCH_LIMIT
-    ConfigError,
     load_json,
     load_traces,
     parse_analyze,
@@ -70,7 +70,7 @@ ORACLE_TOL = 1e-9
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise ConfigError(message)
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -122,7 +122,7 @@ def _fmt(x) -> str:
 
 
 def cmd_solve(args) -> int:
-    inst = parse_instance(load_json(args.config), getattr(args, "traces", None))
+    inst = parse_instance(load_json(args.config), args.traces)
     report = solve_dp(inst)
     _emit_json({
         "method": report.method,
@@ -137,7 +137,7 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     label, caps, betas, lags, ladders, utilities, grids = parse_sweep(
-        load_json(args.config), getattr(args, "traces", None))
+        load_json(args.config), args.traces)
     results = []
     for grid, vectors in grids:
         for f, ladder in ladders:
@@ -161,8 +161,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_schedule(args) -> int:
-    plan, ladder, utility, beta, size_model = parse_schedule(load_json(args.config),
-                                                             getattr(args, "traces", None))
+    plan, ladder, utility, beta, size_model = parse_schedule(load_json(args.config), args.traces)
     results = run_plan(plan, ladder, utility, beta, size_model)
     rows = [(r.index, _fmt(r.lead_time_s), plan.passes[r.index].budget,
              "|".join(str(int(x)) for x in r.state.levels), _fmt(r.value))
@@ -177,7 +176,7 @@ def _describe_rows(metric, group, cdf):
 
 def cmd_analyze(args) -> int:
     spec = parse_analyze(load_json(args.config))
-    traces = load_traces(getattr(args, "traces", None), spec["category"])
+    traces = load_traces(args.traces, spec["category"])
     rows = []
     for metric in spec["metrics"]:
         if metric == "utilization":
@@ -239,7 +238,7 @@ def cmd_oracle(args) -> int:
     cfg = load_json(args.config)
     count = parse_oracle(cfg)
     if count is None:
-        checks = [("config", parse_instance(cfg, getattr(args, "traces", None)))]
+        checks = [("config", parse_instance(cfg, args.traces))]
     else:
         rng = np.random.default_rng(args.seed)
         checks = [(f"batch[{i}]", _random_instance(rng)) for i in range(count)]
@@ -305,7 +304,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive

@@ -3,7 +3,7 @@
 Instance configs use flat keys (rates, delta, f, beta, N, capacity) plus a
 ``utility`` block with kind-specific parameters and a ``probs`` block naming
 a probability family.  Sweep and schedule configs reuse the same vocabulary.
-Errors raise ConfigError with the offending key in the message.
+Errors raise ValueError with the offending key in the message.
 """
 
 import json
@@ -37,7 +37,6 @@ from .viewprob import (
 )
 
 __all__ = [
-    "ConfigError",
     "load_json",
     "load_traces",
     "parse_ladder",
@@ -59,26 +58,22 @@ MAX_STEPS = 1000
 ORACLE_BATCH_LIMIT = 10**5
 
 
-class ConfigError(ValueError):
-    """A config file failed validation."""
-
-
 def load_json(path) -> dict:
     path = Path(path)
     if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+        raise ValueError(f"config file not found: {path}")
     try:
         loaded = json.loads(path.read_text())
     except (ValueError, RecursionError) as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+        raise ValueError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(loaded, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
+        raise ValueError(f"{path}: top level must be a JSON object")
     return loaded
 
 
 def _require(cfg: dict, key: str):
     if key not in cfg:
-        raise ConfigError(f"missing required key {key!r}")
+        raise ValueError(f"missing required key {key!r}")
     return cfg[key]
 
 
@@ -87,9 +82,9 @@ def _number(cfg: dict, key: str, default=None):
         return default
     value = _require(cfg, key)
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{key}: expected a number")
+        raise ValueError(f"{key}: expected a number")
     if isinstance(value, int) and abs(value) > sys.float_info.max:
-        raise ConfigError(f"{key}: number out of range")
+        raise ValueError(f"{key}: number out of range")
     # a float, so no JSON integer past int64 reaches numpy arithmetic
     return float(value)
 
@@ -99,13 +94,13 @@ def _int(cfg: dict, key: str, default=None):
         return default
     value = _require(cfg, key)
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{key}: expected an integer")
+        raise ValueError(f"{key}: expected an integer")
     return value
 
 
 def _object(value, name: str) -> dict:
     if not isinstance(value, dict):
-        raise ConfigError(f"{name}: expected an object")
+        raise ValueError(f"{name}: expected an object")
     return value
 
 
@@ -113,13 +108,13 @@ def _names(cfg: dict, key: str, known, noun: str) -> list:
     """A non-empty list of known names, each listed once; every known name by default."""
     names = _as_list(cfg.get(key, list(known)))
     if not names:
-        raise ConfigError(f"{key}: expected a non-empty list")
+        raise ValueError(f"{key}: expected a non-empty list")
     for i, name in enumerate(names):
         # an unhashable name, such as a list, cannot be looked up
         if not isinstance(name, str) or name not in known:
-            raise ConfigError(f"{key}: unknown {noun} {name!r}")
+            raise ValueError(f"{key}: unknown {noun} {name!r}")
         if name in names[:i]:
-            raise ConfigError(f"{key}: {noun} {name!r} is listed twice")
+            raise ValueError(f"{key}: {noun} {name!r} is listed twice")
     return names
 
 
@@ -138,13 +133,10 @@ def _each(cfg: dict, key: str, check, default=None) -> list:
 def parse_ladder(cfg: dict) -> QualityLadder:
     rates = _require(cfg, "rates")
     if not isinstance(rates, list) or not rates:
-        raise ConfigError("rates: expected a non-empty list")
-    try:
-        return QualityLadder(tuple(_each(cfg, "rates", _number)),
-                             chunk_s=_number(cfg, "delta", 1.0),
-                             stall_penalty=_number(cfg, "f", 1.0))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ValueError("rates: expected a non-empty list")
+    return QualityLadder(tuple(_each(cfg, "rates", _number)),
+                         chunk_s=_number(cfg, "delta", 1.0),
+                         stall_penalty=_number(cfg, "f", 1.0))
 
 
 def parse_utility(cfg: dict) -> UtilityModel:
@@ -156,23 +148,23 @@ def parse_utility(cfg: dict) -> UtilityModel:
                             b=_number(block, "b", 10.0),
                             theta_kbps=_number(block, "theta", 200.0))
     except ValueError as exc:
-        raise ConfigError(f"utility: {exc}") from None
+        raise ValueError(f"utility: {exc}") from None
 
 
 def load_traces(traces_dir, category: str | None = None) -> list:
     """Parse every *.csv trace under a directory, optionally one category."""
     if traces_dir is None:
-        raise ConfigError("this config needs head traces; pass --traces DIR")
+        raise ValueError("this config needs head traces; pass --traces DIR")
     root = Path(traces_dir)
     if not root.is_dir():
-        raise ConfigError(f"trace directory not found: {root}")
+        raise ValueError(f"trace directory not found: {root}")
     if category is not None and category not in CATEGORIES:
-        raise ConfigError(f"unknown trace category {category!r}")
+        raise ValueError(f"unknown trace category {category!r}")
     traces = [parse_trace(p) for p in sorted(root.glob("*.csv"))]
     if category is not None:
         traces = [tr for tr in traces if tr.category == category]
     if not traces:
-        raise ConfigError(f"no traces found in {root}" + (f" for category {category!r}" if category else ""))
+        raise ValueError(f"no traces found in {root}" + (f" for category {category!r}" if category else ""))
     return traces
 
 
@@ -182,7 +174,7 @@ def build_probs(spec: dict, grid: DirectionGrid, traces_dir=None) -> np.ndarray:
     lag = _number(spec, "lag_s", 0.0)
     # inf is the lifetime distribution of the empirical family
     if not lag >= 0:
-        raise ConfigError("probs.lag_s: must be nonnegative")
+        raise ValueError("probs.lag_s: must be nonnegative")
     if family == "uniform":
         return uniform(grid)
     if family == "point_mass":
@@ -192,32 +184,32 @@ def build_probs(spec: dict, grid: DirectionGrid, traces_dir=None) -> np.ndarray:
     if family == "wrapped_gaussian_sqrt":
         sigma0 = _number(spec, "sigma0_deg", 25.0)
         if lag <= 0:
-            raise ConfigError("probs: wrapped_gaussian_sqrt needs lag_s > 0")
+            raise ValueError("probs: wrapped_gaussian_sqrt needs lag_s > 0")
         # Python floats overflow to inf without a warning; wrapped_gaussian refuses it
         return wrapped_gaussian(sigma0 * math.sqrt(lag), grid)
     if family == "explicit":
         values = _require(spec, "values")
         if not isinstance(values, list):
-            raise ConfigError("probs.values: expected a list")
+            raise ValueError("probs.values: expected a list")
         try:
             return _as_prob_array(values, grid.n_tiles)
         except ValueError as exc:
-            raise ConfigError(f"probs: {exc}") from None
+            raise ValueError(f"probs: {exc}") from None
     if family == "convolved":
         return _convolved(spec, grid, _int(spec, "steps", 1))[-1]
     if family == "empirical":
         if lag <= 0:
-            raise ConfigError("probs: empirical family needs lag_s > 0")
+            raise ValueError("probs: empirical family needs lag_s > 0")
         traces = load_traces(traces_dir, spec.get("category"))
         masses = empirical_yaw_change(traces, lag, _number(spec, "stride_s", 0.1))
         return discretize(masses, grid)
-    raise ConfigError(f"probs: unknown family {family!r}")
+    raise ValueError(f"probs: unknown family {family!r}")
 
 
 def _convolved(spec: dict, grid: DirectionGrid, steps: int) -> list:
     """The convolved family after 0..steps smoothings, each from the one before."""
     if not 0 <= steps <= MAX_STEPS:
-        raise ConfigError(f"probs.steps: must be nonnegative and at most {MAX_STEPS}")
+        raise ValueError(f"probs.steps: must be nonnegative and at most {MAX_STEPS}")
     vectors = [wrapped_gaussian(_number(spec, "base_sigma_deg", 15.0), grid)]
     kernel = wrapped_gaussian(_number(spec, "kernel_sigma_deg", 15.0), grid)
     for _ in range(steps):
@@ -230,15 +222,12 @@ def parse_instance(cfg: dict, traces_dir=None) -> Instance:
     utility = parse_utility(cfg)
     grid = DirectionGrid(_int(cfg, "N"))
     capacity, beta = _int(cfg, "capacity"), _number(cfg, "beta", 0.0)
-    try:
-        # every scalar, and the DP table they size, is checked before a trace is parsed
-        _check_beta(beta)
-        _check_parents_table(ladder.n_levels + 1, grid.n_tiles,
-                             int(_as_nonneg_ints(capacity, "capacity")))
-        probs = build_probs(_require(cfg, "probs"), grid, traces_dir)
-        return Instance(grid, ladder, utility, probs, capacity, beta)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    # every scalar, and the DP table they size, is checked before a trace is parsed
+    _check_beta(beta)
+    _check_parents_table(ladder.n_levels + 1, grid.n_tiles,
+                         int(_as_nonneg_ints(capacity, "capacity")))
+    probs = build_probs(_require(cfg, "probs"), grid, traces_dir)
+    return Instance(grid, ladder, utility, probs, capacity, beta)
 
 
 def parse_schedule(cfg: dict, traces_dir=None):
@@ -257,10 +246,10 @@ def parse_schedule(cfg: dict, traces_dir=None):
         size_model = SizeModel(sm_block.get("mode", "svc_ideal"),
                                _number(sm_block, "overhead", 0.0))
     except ValueError as exc:
-        raise ConfigError(f"size_model: {exc}") from None
+        raise ValueError(f"size_model: {exc}") from None
     raw_passes = _require(cfg, "passes")
     if not isinstance(raw_passes, list) or not raw_passes:
-        raise ConfigError("passes: expected a non-empty list")
+        raise ValueError("passes: expected a non-empty list")
     flat = np.full(grid.n_tiles, 1.0 / grid.n_tiles)
     passes = []
     for i, block in enumerate(raw_passes):
@@ -269,13 +258,10 @@ def parse_schedule(cfg: dict, traces_dir=None):
         try:
             passes.append(PrefetchPass(lead, _int(block, "budget"), flat))
         except ValueError as exc:
-            raise ConfigError(f"passes[{i}]: {exc}") from None
-    try:
-        _check_beta(beta)
-        PrefetchPlan(tuple(passes))
-        _check_parents_table(ladder.n_levels + 1, grid.n_tiles, max(p.budget for p in passes))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+            raise ValueError(f"passes[{i}]: {exc}") from None
+    _check_beta(beta)
+    PrefetchPlan(tuple(passes))
+    _check_parents_table(ladder.n_levels + 1, grid.n_tiles, max(p.budget for p in passes))
     plan = PrefetchPlan(tuple(
         replace(p, probs=build_probs({"lag_s": p.lead_time_s, **block["probs"]}, grid, traces_dir))
         for p, block in zip(passes, raw_passes)))
@@ -294,26 +280,23 @@ def parse_sweep(cfg: dict, traces_dir=None):
     """
     for key in ("N", "f", "beta", "utility", "lags"):
         if cfg.get(key) == []:
-            raise ConfigError(f"{key}: expected a non-empty list")
+            raise ValueError(f"{key}: expected a non-empty list")
     family = cfg.get("family", {"kind": "uniform"})
     if not isinstance(family, dict) or "kind" not in family:
-        raise ConfigError("family: expected an object with a 'kind'")
+        raise ValueError("family: expected an object with a 'kind'")
     label = family["kind"]
     if label == "empirical" and family.get("category") is not None:
         label = f"empirical:{family['category']}"
     lags = _each(cfg, "lags", _number)
     if not all(t > 0 for t in lags):
-        raise ConfigError("lags: must be positive")
+        raise ValueError("lags: must be positive")
     if any(b <= a for a, b in zip(lags, lags[1:])):
-        raise ConfigError("lags: must be strictly increasing")
+        raise ValueError("lags: must be strictly increasing")
     caps = _each(cfg, "capacity", _int)
     betas = _each(cfg, "beta", _number, 0.0)
-    try:
-        caps = _as_nonneg_ints(caps, "capacity", ndim=1).tolist()
-        for beta in betas:
-            _check_beta(beta)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    caps = _as_nonneg_ints(caps, "capacity", ndim=1).tolist()
+    for beta in betas:
+        _check_beta(beta)
     ladders = [(f, parse_ladder({**cfg, "f": f})) for f in _each(cfg, "f", _number, 1.0)]
     models = [parse_utility({"utility": block})
               for block in _as_list(cfg.get("utility", {"kind": "linear"}))]
@@ -321,12 +304,9 @@ def parse_sweep(cfg: dict, traces_dir=None):
                  for i, m in enumerate(models)]
     grids = []
     for n_tiles in _each(cfg, "N", _int):
-        try:
-            grid = DirectionGrid(n_tiles)
-            if caps:
-                _check_parents_table(ladders[0][1].n_levels + 1, grid.n_tiles, max(caps))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        grid = DirectionGrid(n_tiles)
+        if caps:
+            _check_parents_table(ladders[0][1].n_levels + 1, grid.n_tiles, max(caps))
         grids.append(grid)
     # every grid and parents table is checked before the first vector, so a refused
     # sweep parses no trace
@@ -344,17 +324,17 @@ def parse_gen(cfg: dict) -> dict:
     kinds = _names(cfg, "kinds", COHORT, "generator")
     count = _int(cfg, "count_per_kind", 2)
     if count < 1:
-        raise ConfigError("count_per_kind: must be at least 1")
+        raise ValueError("count_per_kind: must be at least 1")
     duration = _number(cfg, "duration_s", 60.0)
     rate = _number(cfg, "rate_hz", 50.0)
     try:
         samples = _sample_count(duration, rate)
     except ValueError as exc:
-        raise ConfigError(f"duration_s and rate_hz: {exc}") from None
+        raise ValueError(f"duration_s and rate_hz: {exc}") from None
     if "explore" in kinds and not duration > EXPLORE_SPLIT_S:
-        raise ConfigError(f"duration_s: the explore kind needs more than {EXPLORE_SPLIT_S:g} s")
+        raise ValueError(f"duration_s: the explore kind needs more than {EXPLORE_SPLIT_S:g} s")
     if count * len(kinds) * samples > GRID_LIMIT:
-        raise ConfigError(f"count_per_kind: {count} per kind x {len(kinds)} kinds x {samples} "
+        raise ValueError(f"count_per_kind: {count} per kind x {len(kinds)} kinds x {samples} "
                           f"samples is more than {GRID_LIMIT} samples in all")
     return {"kinds": kinds, "count": count, "duration_s": duration, "rate_hz": rate}
 
@@ -366,7 +346,7 @@ def parse_oracle(cfg: dict) -> int | None:
     batch = _object(cfg["batch"], "batch")
     count = _int({"batch.count": batch.get("count", 100)}, "batch.count")
     if not 1 <= count <= ORACLE_BATCH_LIMIT:
-        raise ConfigError(f"batch.count: expected a positive integer of at most "
+        raise ValueError(f"batch.count: expected a positive integer of at most "
                           f"{ORACLE_BATCH_LIMIT}")
     return count
 
@@ -377,12 +357,12 @@ def parse_analyze(cfg: dict) -> dict:
     metrics = _names(cfg, "metrics", known, "metric")
     lags = _each(cfg, "lags", _number, [1.0])
     if not lags:
-        raise ConfigError("lags: expected a non-empty list")
+        raise ValueError("lags: expected a non-empty list")
     if not all(t > 0 for t in lags):
-        raise ConfigError("lags: must be positive")
+        raise ValueError("lags: must be positive")
     for i, lag in enumerate(lags):
         if lag in lags[:i]:
-            raise ConfigError(f"lags: lag {lag:g} is listed twice")
+            raise ValueError(f"lags: lag {lag:g} is listed twice")
     out = {
         "metrics": metrics,
         "lags": lags,
@@ -397,5 +377,5 @@ def parse_analyze(cfg: dict) -> dict:
         "category": cfg.get("category"),
     }
     if out["category"] is not None and out["category"] not in CATEGORIES:
-        raise ConfigError(f"category: unknown category {out['category']!r}")
+        raise ValueError(f"category: unknown category {out['category']!r}")
     return out

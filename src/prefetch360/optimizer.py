@@ -34,7 +34,6 @@ the lexicographically smallest vector in the order
 (levels[0], levels[N-1], levels[N-2], ..., levels[1]).
 """
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +64,6 @@ class SolveStats:
     """Work accounting for one solver run."""
 
     subproblems: int
-    wall_time_s: float
 
 
 @dataclass(frozen=True)
@@ -162,15 +160,13 @@ def solve_dp(inst: Instance, capacities=None) -> SolveReport:
     The pass at ``inst.capacity`` also answers each smaller budget in ``capacities``,
     read off the same table into ``report.selections`` in the given order.
     """
-    start = time.perf_counter()
     caps = _as_nonneg_ints([] if capacities is None else capacities, "capacity", ndim=1)
     if np.any(caps > inst.capacity):
         raise ValueError(f"capacity must not exceed the instance capacity {inst.capacity}")
     top, *rest = _dp_run(inst, [inst.capacity, *caps])
-    elapsed = time.perf_counter() - start
     width = inst.ladder.n_levels + 1
     count = width * width * inst.grid.n_tiles * (inst.capacity + 1)
-    return SolveReport(top, top.value, "dp", SolveStats(count, elapsed), tuple(rest))
+    return SolveReport(top, top.value, "dp", SolveStats(count), tuple(rest))
 
 
 def _tie_key(levels_row: np.ndarray) -> tuple:
@@ -185,7 +181,6 @@ def brute_force(inst: Instance) -> SolveReport:
     keeps the feasible maximum, and breaks exact value ties with the same
     selection order as the DP.
     """
-    start = time.perf_counter()
     grid_n = inst.grid.n_tiles
     utility = inst.utility_table
     sizes = inst.size_table
@@ -223,9 +218,8 @@ def brute_force(inst: Instance) -> SolveReport:
             best_levels = ties[order[0]]
     if best_levels is None:
         raise ValueError("no feasible assignment")
-    elapsed = time.perf_counter() - start
     return SolveReport(Selection(tuple(int(x) for x in best_levels), float(best_value)),
-                       float(best_value), "brute_force", SolveStats(total, elapsed))
+                       float(best_value), "brute_force", SolveStats(total))
 
 
 def solve_mckp(inst: Instance) -> SolveReport:
@@ -237,7 +231,6 @@ def solve_mckp(inst: Instance) -> SolveReport:
     """
     if inst.beta != 0.0:
         raise ValueError("the knapsack form requires beta = 0")
-    start = time.perf_counter()
     grid_n = inst.grid.n_tiles
     utility = inst.utility_table
     sizes = inst.size_table
@@ -267,6 +260,5 @@ def solve_mckp(inst: Instance) -> SolveReport:
         levels[n] = cur
         c -= int(sizes[n, cur])
     value = float(money[cap])
-    elapsed = time.perf_counter() - start
     return SolveReport(Selection(tuple(int(x) for x in levels), value), value, "mckp",
-                       SolveStats(grid_n * (cap + 1), elapsed))
+                       SolveStats(grid_n * (cap + 1)))

@@ -45,7 +45,6 @@ __all__ = [
     "Heatmap",
     "parse_trace",
     "write_trace",
-    "yaw_at",
     "angle_utilization_cdf",
     "heatmap",
     "pairwise_angular_difference",
@@ -273,11 +272,6 @@ def write_trace(trace: HeadTrace, csv_path) -> None:
     sidecar.write_text(json.dumps(meta, indent=2) + "\n")
 
 
-def yaw_at(trace: HeadTrace, times) -> np.ndarray:
-    """Yaw at arbitrary times inside the trace, shorter-arc interpolated."""
-    return interp_angle_deg(times, trace.t, trace.yaw)
-
-
 def _divisions(span: float, width: float, name: str) -> int:
     """How many bins of ``width`` tile ``span`` exactly, from 1 to GRID_LIMIT."""
     count = span / width if width > 0 else 0.0
@@ -293,10 +287,11 @@ def _windows(traces, lag_s: float, stride_s: float):
     Start times step every stride_s from each trace's first sample while the
     whole lag_s window fits.  ``elapsed`` is the start time since that first
     sample, ``origin_yaw`` the yaw there and ``change`` the signed circular
-    yaw change over the following lag_s, both as ``yaw_at`` reads them from
-    one unwrap per trace; ``yaw_vel`` is the yaw velocity at the start.  The
-    lag must be nonnegative and shorter than every trace, and the window
-    count is checked against GRID_LIMIT before anything is allocated.
+    yaw change over the following lag_s, both as ``angles.interp_angle_deg``
+    reads them from one unwrap per trace; ``yaw_vel`` is the yaw velocity at
+    the start.  The lag must be nonnegative and shorter than every trace, and
+    the window count is checked against GRID_LIMIT before anything is
+    allocated.
     """
     traces = _require_traces(traces)
     if not 0 < stride_s < np.inf:
@@ -431,7 +426,7 @@ def pairwise_angular_difference(traces, time_step_s: float = 0.1):
     times = np.arange(0.0, horizon + _EPS, time_step_s)
     per_video = []
     for group in groups.values():
-        tracks = [yaw_at(tr, tr.t[0] + times) for tr in group]
+        tracks = [interp_angle_deg(tr.t[0] + times, tr.t, tr.yaw) for tr in group]
         dists = [circ_dist_deg(tracks[i], tracks[j])
                  for i in range(len(tracks)) for j in range(i + 1, len(tracks))]
         per_video.append(np.mean(dists, axis=0))

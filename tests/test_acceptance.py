@@ -265,15 +265,15 @@ def test_c11_solve_time_scales_linearly_in_capacity(grid6):
     ladder = QualityLadder((400.0, 900.0, 1600.0))
     probs = wrapped_gaussian(60.0, grid6)
     utility = UtilityModel("sqrt")
-    medians = []
-    for cap in (25000, 50000, 100000):
-        inst = Instance(grid6, ladder, utility, probs, cap, 0.1)
-        runs = []
-        for _ in range(5):
+    insts = [Instance(grid6, ladder, utility, probs, cap, 0.1) for cap in (25000, 50000, 100000)]
+    runs = [[], [], []]
+    # every repeat times all three capacities, so a drift in machine speed moves them alike
+    for _ in range(5):
+        for inst, times in zip(insts, runs):
             start = time.perf_counter()
             solve_dp(inst)
-            runs.append(time.perf_counter() - start)
-        medians.append(float(np.median(runs)))
+            times.append(time.perf_counter() - start)
+    medians = [float(np.median(times)) for times in runs]
     ratios = (medians[1] / medians[0], medians[2] / medians[1])
     ok = all(1.5 <= r <= 3.0 for r in ratios)
     assert report(11, "solve time linear in capacity", ok,

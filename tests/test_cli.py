@@ -194,9 +194,17 @@ class TestExitCodes:
         assert "unknown family" in capsys.readouterr().err
 
     def test_bad_arguments(self, capsys):
-        assert main([]) == 1
-        assert main(["solve"]) == 1
-        assert main(["solve", "--config", "x", "--bogus"]) == 1
+        for argv, line in (
+                ([], "the following arguments are required: command"),
+                (["solve"], "the following arguments are required: --config"),
+                (["solve", "--config", "x", "--bogus"], "unrecognized arguments: --bogus")):
+            assert main(argv) == 1
+            assert capsys.readouterr().err == f"error: {line}\n"
+        assert main(["nope"]) == 1
+        # the list of choices after the name is worded differently across Python versions
+        err = capsys.readouterr().err
+        assert err.startswith("error: argument command: invalid choice: 'nope'")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     SWEEP = {"rates": [100, 200], "N": 3, "capacity": [100, 300], "lags": [1.0, 2.0]}
 
@@ -606,7 +614,7 @@ class TestOracle:
         assert payload["mismatches"] == []
 
     def test_mismatch_exits_2(self, tmp_path, monkeypatch, capsys):
-        bogus = SolveReport(Selection((0, 0, 0), 99.0), 99.0, "dp", SolveStats(0, 0.0))
+        bogus = SolveReport(Selection((0, 0, 0), 99.0), 99.0, "dp", SolveStats(0))
         monkeypatch.setattr(cli, "solve_dp", lambda inst: bogus)
         cfg = write_config(tmp_path, TOY_SOLVE)
         assert main(["oracle", "--config", cfg]) == 2

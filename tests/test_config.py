@@ -7,7 +7,6 @@ import pytest
 
 from prefetch360 import constant_trace, write_trace
 from prefetch360.config import (
-    ConfigError,
     build_probs,
     load_json,
     load_traces,
@@ -42,19 +41,19 @@ def trace_dir(tmp_path):
 
 class TestLoadJson:
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ConfigError, match="not found"):
+        with pytest.raises(ValueError, match="not found"):
             load_json(tmp_path / "nope.json")
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
-        with pytest.raises(ConfigError, match="invalid JSON"):
+        with pytest.raises(ValueError, match="invalid JSON"):
             load_json(path)
 
     def test_top_level_must_be_object(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")
-        with pytest.raises(ConfigError, match="JSON object"):
+        with pytest.raises(ValueError, match="JSON object"):
             load_json(path)
 
 
@@ -66,9 +65,9 @@ class TestLadderAndUtility:
         assert ladder.stall_penalty == 0.5
 
     def test_ladder_errors_become_config_errors(self):
-        with pytest.raises(ConfigError, match="missing required key 'rates'"):
+        with pytest.raises(ValueError, match="missing required key 'rates'"):
             parse_ladder({})
-        with pytest.raises(ConfigError, match="strictly increasing"):
+        with pytest.raises(ValueError, match="strictly increasing"):
             parse_ladder({"rates": [200, 100]})
 
     def test_parse_utility_defaults_to_linear(self):
@@ -77,7 +76,7 @@ class TestLadderAndUtility:
         assert model.theta_kbps == 150.0
 
     def test_parse_utility_rejects_unknown_kind(self):
-        with pytest.raises(ConfigError, match="unknown utility kind"):
+        with pytest.raises(ValueError, match="unknown utility kind"):
             parse_utility({"utility": {"kind": "cubic"}})
 
 
@@ -93,14 +92,14 @@ class TestBuildProbs:
         grown = build_probs({"family": "wrapped_gaussian_sqrt", "sigma0_deg": 30.0,
                              "lag_s": 1.0}, grid)
         np.testing.assert_array_equal(fixed, grown)
-        with pytest.raises(ConfigError, match="lag_s > 0"):
+        with pytest.raises(ValueError, match="lag_s > 0"):
             build_probs({"family": "wrapped_gaussian_sqrt"}, grid)
 
     def test_explicit_values(self, grid):
         p = build_probs({"family": "explicit",
                          "values": [0.5, 0.1, 0.1, 0.1, 0.1, 0.1]}, grid)
         assert p[0] == 0.5
-        with pytest.raises(ConfigError, match="sum to 1"):
+        with pytest.raises(ValueError, match="sum to 1"):
             build_probs({"family": "explicit", "values": [1.0] * 6}, grid)
 
     def test_convolved_steps(self, grid):
@@ -110,11 +109,11 @@ class TestBuildProbs:
                                 "kernel_sigma_deg": 15.0, "steps": 3}, grid)
         # smoothing pulls mass off the front pair
         assert smoothed[0] < base[0]
-        with pytest.raises(ConfigError, match="nonnegative"):
+        with pytest.raises(ValueError, match="nonnegative"):
             build_probs({"family": "convolved", "steps": -1}, grid)
 
     def test_empirical_needs_a_trace_dir(self, grid, trace_dir):
-        with pytest.raises(ConfigError, match="pass --traces"):
+        with pytest.raises(ValueError, match="pass --traces"):
             build_probs({"family": "empirical", "lag_s": 1.0}, grid, None)
         p = build_probs({"family": "empirical", "lag_s": 1.0}, grid, trace_dir)
         assert p[0] == pytest.approx(1.0)  # fixed gazes never move
@@ -122,7 +121,7 @@ class TestBuildProbs:
         assert lifetime[0] == pytest.approx(1.0)
 
     def test_unknown_family(self, grid):
-        with pytest.raises(ConfigError, match="unknown family"):
+        with pytest.raises(ValueError, match="unknown family"):
             build_probs({"family": "prophecy"}, grid)
 
 
@@ -135,14 +134,14 @@ class TestParseInstance:
         assert inst.grid.n_tiles == 3
 
     def test_missing_keys(self):
-        with pytest.raises(ConfigError, match="'N'"):
+        with pytest.raises(ValueError, match="'N'"):
             parse_instance({"rates": [100], "capacity": 10, "probs": {"family": "uniform"}})
-        with pytest.raises(ConfigError, match="'capacity'"):
+        with pytest.raises(ValueError, match="'capacity'"):
             parse_instance({"rates": [100], "N": 3, "probs": {"family": "uniform"}})
 
     def test_capacity_must_be_integral(self):
         cfg = {"rates": [100], "N": 3, "capacity": 10.5, "probs": {"family": "uniform"}}
-        with pytest.raises(ConfigError, match="capacity"):
+        with pytest.raises(ValueError, match="capacity"):
             parse_instance(cfg)
 
 
@@ -174,7 +173,7 @@ class TestParseSchedule:
                    {"lead_s": 5, "budget": 50, "probs": {"family": "uniform"}},
                    {"lead_s": 20, "budget": 50, "probs": {"family": "uniform"}},
                ]}
-        with pytest.raises(ConfigError, match="strictly decrease"):
+        with pytest.raises(ValueError, match="strictly decrease"):
             parse_schedule(cfg)
 
 
@@ -200,13 +199,13 @@ class TestParseSweep:
 
     def test_lags_must_strictly_increase(self):
         base = {"rates": [100], "N": 2, "capacity": 100}
-        with pytest.raises(ConfigError, match="strictly increasing"):
+        with pytest.raises(ValueError, match="strictly increasing"):
             parse_sweep({**base, "lags": [1.0, 1.0, 2.0]})
-        with pytest.raises(ConfigError, match="must be positive"):
+        with pytest.raises(ValueError, match="must be positive"):
             parse_sweep({**base, "lags": [0.0, 1.0]})
 
     def test_family_needs_a_kind(self):
-        with pytest.raises(ConfigError, match="'kind'"):
+        with pytest.raises(ValueError, match="'kind'"):
             parse_sweep({"rates": [100], "N": 2, "capacity": 100, "lags": 1.0,
                          "family": {"sigma0_deg": 10}})
 
@@ -218,36 +217,36 @@ class TestParseGenAndAnalyze:
         assert "walk" in spec["kinds"]
 
     def test_gen_rejects_unknown_kind(self):
-        with pytest.raises(ConfigError, match="unknown generator"):
+        with pytest.raises(ValueError, match="unknown generator"):
             parse_gen({"kinds": ["teleport"]})
-        with pytest.raises(ConfigError, match="at least 1"):
+        with pytest.raises(ValueError, match="at least 1"):
             parse_gen({"count_per_kind": 0})
 
     def test_gen_bounds_the_cohort_before_any_trace(self):
         # ten traces of 10^6 samples fill GRID_LIMIT exactly; an eleventh is refused
         spec = {"kinds": ["constant"], "duration_s": 99999.9, "rate_hz": 10}
         assert parse_gen({**spec, "count_per_kind": 10})["count"] == 10
-        with pytest.raises(ConfigError, match="count_per_kind"):
+        with pytest.raises(ValueError, match="count_per_kind"):
             parse_gen({**spec, "count_per_kind": 11})
 
     def test_gen_explore_needs_time_past_its_split(self):
         assert parse_gen({"kinds": ["explore"], "duration_s": 20.5})["kinds"] == ["explore"]
-        with pytest.raises(ConfigError, match="duration_s"):
+        with pytest.raises(ValueError, match="duration_s"):
             parse_gen({"kinds": ["explore"], "duration_s": 20})
 
     def test_analyze_defaults_and_validation(self):
         spec = parse_analyze({})
         assert "utilization" in spec["metrics"]
         assert spec["lags"] == [1.0]
-        with pytest.raises(ConfigError, match="unknown metric"):
+        with pytest.raises(ValueError, match="unknown metric"):
             parse_analyze({"metrics": ["telepathy"]})
-        with pytest.raises(ConfigError, match="unknown category"):
+        with pytest.raises(ValueError, match="unknown category"):
             parse_analyze({"category": "skydiving"})
-        with pytest.raises(ConfigError, match="metrics: expected a non-empty list"):
+        with pytest.raises(ValueError, match="metrics: expected a non-empty list"):
             parse_analyze({"metrics": []})
-        with pytest.raises(ConfigError, match="metrics: metric 'yaw_change' is listed twice"):
+        with pytest.raises(ValueError, match="metrics: metric 'yaw_change' is listed twice"):
             parse_analyze({"metrics": ["yaw_change", "heatmap", "yaw_change"]})
-        with pytest.raises(ConfigError, match="lags: lag 2 is listed twice"):
+        with pytest.raises(ValueError, match="lags: lag 2 is listed twice"):
             parse_analyze({"lags": [2, 0.5, 2.0]})
 
 
@@ -258,13 +257,13 @@ class TestLoadTraces:
 
     def test_category_filter(self, trace_dir):
         assert len(load_traces(trace_dir, "static_focus")) == 2
-        with pytest.raises(ConfigError, match="no traces found"):
+        with pytest.raises(ValueError, match="no traces found"):
             load_traces(trace_dir, "rides")
 
     def test_errors(self, tmp_path):
-        with pytest.raises(ConfigError, match="pass --traces"):
+        with pytest.raises(ValueError, match="pass --traces"):
             load_traces(None)
-        with pytest.raises(ConfigError, match="directory not found"):
+        with pytest.raises(ValueError, match="directory not found"):
             load_traces(tmp_path / "ghost")
-        with pytest.raises(ConfigError, match="unknown trace category"):
+        with pytest.raises(ValueError, match="unknown trace category"):
             load_traces(tmp_path, "skydiving")

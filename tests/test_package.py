@@ -12,13 +12,13 @@ PUBLIC = [
     "pairwise_angular_difference", "parse_trace", "phase_split_cdf", "point_mass",
     "random_walk_trace", "run_plan", "selection_size", "sinusoid_trace", "solve_dp",
     "solve_mckp", "uniform", "uniform_random_trace", "upgrade_sizes",
-    "velocity_prediction_error", "wrap_deg", "wrapped_gaussian", "write_trace", "yaw_at",
+    "velocity_prediction_error", "wrap_deg", "wrapped_gaussian", "write_trace",
     "yaw_change_cdf",
 ]
 
 
 def test_public_names_are_pinned_and_resolve():
-    assert len(PUBLIC) == 49
+    assert len(PUBLIC) == 48
     assert sorted(prefetch360.__all__) == PUBLIC
     assert all(hasattr(prefetch360, name) for name in PUBLIC)
 

@@ -26,10 +26,10 @@ from prefetch360 import (
     uniform_random_trace,
     velocity_prediction_error,
     write_trace,
-    yaw_at,
     yaw_change_cdf,
 )
 from prefetch360 import traces
+from prefetch360.angles import interp_angle_deg
 from prefetch360.traces import TRACE_COLUMNS
 
 from conftest import trace_csv_bytes
@@ -232,7 +232,8 @@ class TestRebaseAndResample:
 
     def test_yaw_at_recovers_samples(self):
         trace = sinusoid_trace(40.0, 6.0, duration_s=3.0, rate_hz=20.0)
-        np.testing.assert_allclose(yaw_at(trace, trace.t), trace.yaw, atol=1e-9)
+        np.testing.assert_allclose(interp_angle_deg(trace.t, trace.t, trace.yaw), trace.yaw,
+                                   atol=1e-9)
 
 
 class TestYawChanges:
