@@ -22,6 +22,7 @@ from .model import (
     _as_nonneg_ints,
     _as_prob_array,
     _check_beta,
+    build_utility_table,
 )
 from .optimizer import _check_parents_table
 from .scheduler import PrefetchPass, PrefetchPlan, SizeModel
@@ -139,16 +140,19 @@ def parse_ladder(cfg: dict) -> QualityLadder:
                          stall_penalty=_number(cfg, "f", 1.0))
 
 
-def parse_utility(cfg: dict) -> UtilityModel:
+def parse_utility(cfg: dict, ladder: QualityLadder) -> UtilityModel:
+    """The ``utility`` block, checked with its normalized table on ``ladder``."""
     block = _object(cfg.get("utility", {"kind": "linear"}), "utility")
     kind = block.get("kind", "linear")
     try:
-        return UtilityModel(kind,
-                            a=_number(block, "a", 2.0),
-                            b=_number(block, "b", 10.0),
-                            theta_kbps=_number(block, "theta", 200.0))
+        model = UtilityModel(kind,
+                             a=_number(block, "a", 2.0),
+                             b=_number(block, "b", 10.0),
+                             theta_kbps=_number(block, "theta", 200.0))
+        build_utility_table(ladder, model)
     except ValueError as exc:
         raise ValueError(f"utility: {exc}") from None
+    return model
 
 
 def load_traces(traces_dir, category: str | None = None) -> list:
@@ -219,7 +223,7 @@ def _convolved(spec: dict, grid: DirectionGrid, steps: int) -> list:
 
 def parse_instance(cfg: dict, traces_dir=None) -> Instance:
     ladder = parse_ladder(cfg)
-    utility = parse_utility(cfg)
+    utility = parse_utility(cfg, ladder)
     grid = DirectionGrid(_int(cfg, "N"))
     capacity, beta = _int(cfg, "capacity"), _number(cfg, "beta", 0.0)
     # every scalar, and the DP table they size, is checked before a trace is parsed
@@ -238,7 +242,7 @@ def parse_schedule(cfg: dict, traces_dir=None):
     plan of flat vectors before any pass's own vector is built on the grid.
     """
     ladder = parse_ladder(cfg)
-    utility = parse_utility(cfg)
+    utility = parse_utility(cfg, ladder)
     grid = DirectionGrid(_int(cfg, "N"))
     beta = _number(cfg, "beta", 0.0)
     sm_block = _object(cfg.get("size_model", {}), "size_model")
@@ -298,7 +302,8 @@ def parse_sweep(cfg: dict, traces_dir=None):
     for beta in betas:
         _check_beta(beta)
     ladders = [(f, parse_ladder({**cfg, "f": f})) for f in _each(cfg, "f", _number, 1.0)]
-    models = [parse_utility({"utility": block})
+    # f changes only entry 0 of a utility table, so one ladder checks every table
+    models = [parse_utility({"utility": block}, ladders[0][1])
               for block in _as_list(cfg.get("utility", {"kind": "linear"}))]
     utilities = [(m.kind if m.kind not in [k.kind for k in models[:i]] else f"{m.kind}#{i}", m)
                  for i, m in enumerate(models)]

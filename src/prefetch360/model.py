@@ -18,7 +18,6 @@ penalty, the cost of looking at a tile that never arrived.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -136,11 +135,16 @@ def build_utility_table(ladder: QualityLadder, model: UtilityModel) -> np.ndarra
     the raw utility of the top level, so the table ends in exactly 1.0.  The
     top raw utility must be positive for the normalization to make sense.
     """
-    raw = model.raw(np.asarray(ladder.rates_kbps), ref_rate_kbps=ladder.rates_kbps[0])
-    top = raw[-1]
+    # extreme parameters overflow to inf or nan; the checks below refuse those tables
+    with np.errstate(all="ignore"):
+        raw = model.raw(np.asarray(ladder.rates_kbps), ref_rate_kbps=ladder.rates_kbps[0])
+        top = raw[-1]
+        normalized = raw / top
     if not top > 0:
         raise ValueError("top-level raw utility must be positive")
-    return np.concatenate([[-ladder.stall_penalty], raw / top])
+    if not np.all(np.isfinite(normalized)):
+        raise ValueError("normalized utilities must be finite")
+    return np.concatenate([[-ladder.stall_penalty], normalized])
 
 
 @dataclass(frozen=True)
@@ -222,8 +226,11 @@ class Instance:
     ``capacity`` is the downlink budget D * chunk_s in the same integer units
     as tile sizes.  ``probs`` is any array-like of tile probabilities.  The
     per-tile ``sizes``/``utilities`` overrides exist for layered refinement,
-    where already-cached levels cost nothing; both default to the shared
-    ladder tables.
+    where already-cached levels cost nothing; both default to ``None``, the
+    shared ladder tables.  Construction resolves and checks both per-tile
+    tables once, as the attributes ``size_table`` (int64) and
+    ``utility_table`` (float64), each of shape (N, L+1); the overrides
+    themselves are kept as given.
     """
 
     grid: DirectionGrid
@@ -236,40 +243,26 @@ class Instance:
     utilities: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
-        n = self.grid.n_tiles
-        width = self.ladder.n_levels + 1
-        object.__setattr__(self, "probs", _as_prob_array(self.probs, n))
+        shape = (self.grid.n_tiles, self.ladder.n_levels + 1)
+        object.__setattr__(self, "probs", _as_prob_array(self.probs, shape[0]))
         object.__setattr__(self, "capacity", int(_as_nonneg_ints(self.capacity, "capacity")))
         _check_beta(self.beta)
-        if self.sizes is not None:
-            if np.shape(self.sizes) != (n, width):
-                raise ValueError(f"size table must have shape ({n}, {width})")
-            s = _as_nonneg_ints(self.sizes, "sizes", ndim=2)
-            if np.any(s[:, 0] != 0):
-                raise ValueError("level 0 must have size 0")
-            object.__setattr__(self, "sizes", s)
-        if self.utilities is not None:
-            u = np.asarray(self.utilities, dtype=float)
-            if u.shape != (n, width):
-                raise ValueError(f"utility table must have shape ({n}, {width})")
-            if not np.all(np.isfinite(u)):
-                raise ValueError("utilities must be finite")
-            object.__setattr__(self, "utilities", u)
-
-    @cached_property
-    def size_table(self) -> np.ndarray:
-        """Per-tile level sizes, shape (N, L+1), integer units."""
-        if self.sizes is not None:
-            return self.sizes
-        return np.broadcast_to(self.ladder.level_sizes(), (self.grid.n_tiles, self.ladder.n_levels + 1)).copy()
-
-    @cached_property
-    def utility_table(self) -> np.ndarray:
-        """Per-tile level utilities, shape (N, L+1), top level normalized to 1."""
-        if self.utilities is not None:
-            return self.utilities
-        table = build_utility_table(self.ladder, self.utility)
-        return np.broadcast_to(table, (self.grid.n_tiles, self.ladder.n_levels + 1)).copy()
+        sizes = (np.broadcast_to(self.ladder.level_sizes(), shape)
+                 if self.sizes is None else self.sizes)
+        if np.shape(sizes) != shape:
+            raise ValueError(f"size table must have shape {shape}")
+        sizes = _as_nonneg_ints(sizes, "sizes", ndim=2)
+        if np.any(sizes[:, 0] != 0):
+            raise ValueError("level 0 must have size 0")
+        utilities = (np.broadcast_to(build_utility_table(self.ladder, self.utility), shape)
+                     if self.utilities is None else self.utilities)
+        utilities = np.array(utilities, dtype=float)
+        if utilities.shape != shape:
+            raise ValueError(f"utility table must have shape {shape}")
+        if not np.all(np.isfinite(utilities)):
+            raise ValueError("utilities must be finite")
+        object.__setattr__(self, "size_table", sizes)
+        object.__setattr__(self, "utility_table", utilities)
 
 
 @dataclass(frozen=True)

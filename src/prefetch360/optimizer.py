@@ -77,11 +77,18 @@ class SolveReport:
     selections: tuple[Selection, ...] = ()
 
 
-def _weights(inst: Instance):
+def _gains(inst: Instance) -> np.ndarray:
+    """gains[n, cur, l]: tile n's objective term at level cur when tile n+1 (mod N) is at l.
+
+    The term is (1-beta) p_n u(cur) - beta (p_n + p_{n+1})/2 |u(cur) - u(l)|, so
+    the terms of a ring assignment add up to its objective value.
+    """
     p = inst.probs
+    u = inst.utility_table
     expect_w = (1.0 - inst.beta) * p
     edge_w = inst.beta * 0.5 * (p + np.roll(p, -1))
-    return expect_w, edge_w
+    return (expect_w[:, None, None] * u[:, :, None]
+            - edge_w[:, None, None] * np.abs(u[:, :, None] - np.roll(u, -1, axis=0)[:, None, :]))
 
 
 def _check_parents_table(n_levels: int, n_tiles: int, capacity: int) -> None:
@@ -96,11 +103,9 @@ def _check_parents_table(n_levels: int, n_tiles: int, capacity: int) -> None:
 
 def _dp_run(inst: Instance, columns):
     grid_n = inst.grid.n_tiles
-    utility = inst.utility_table
     sizes = inst.size_table
-    n_levels = utility.shape[1]
+    n_levels = sizes.shape[1]
     cap = inst.capacity
-    expect_w, edge_w = _weights(inst)
 
     _check_parents_table(n_levels, grid_n, cap)
     # parents[l0, n - 1, l, c]: tile n's level given l0 at tile 0 and l at tile n+1;
@@ -114,26 +119,24 @@ def _dp_run(inst: Instance, columns):
 
     # final[l0, k]: best ring value with tile 0 at l0 within budget columns[k]
     final = np.empty((n_levels, len(columns)))
+    gains = _gains(inst)
     for l0 in range(n_levels):
-        base = expect_w[0] * utility[0, l0] - edge_w[0] * np.abs(utility[0, l0] - utility[1 % grid_n, :])
         layer.fill(-np.inf)
-        layer[:, sizes[0, l0]:] = base[:, None]
+        layer[:, sizes[0, l0]:] = gains[0, l0, :, None]
         for n in range(1, grid_n):
-            gains = (expect_w[n] * utility[n, :][:, None]
-                     - edge_w[n] * np.abs(utility[n, :][:, None] - utility[(n + 1) % grid_n, :][None, :]))
             for lo in range(0, cap + 1, _BLOCK):
                 hi = min(lo + _BLOCK, cap + 1)
                 best = nxt[:, lo:hi]
                 arg = parents[l0, n - 1, :, lo:hi]
                 # level 0 is free (an Instance invariant), so it seeds every column
-                np.add(gains[0, :, None], layer[0, lo:hi], out=best)
+                np.add(gains[n, 0, :, None], layer[0, lo:hi], out=best)
                 for cur in range(1, n_levels):
                     b = int(sizes[n, cur])
                     start = max(lo, b)
                     if start >= hi:
                         continue
                     w = hi - start
-                    np.add(gains[cur, :, None], layer[cur, start - b:hi - b], out=cand[:, :w])
+                    np.add(gains[n, cur, :, None], layer[cur, start - b:hi - b], out=cand[:, :w])
                     np.greater(cand[:, :w], best[:, start - lo:], out=better[:, :w])
                     np.copyto(best[:, start - lo:], cand[:, :w], where=better[:, :w])
                     np.copyto(arg[:, start - lo:], cur, where=better[:, :w])
@@ -169,17 +172,13 @@ def solve_dp(inst: Instance, capacities=None) -> SolveReport:
     return SolveReport(top, top.value, "dp", SolveStats(count), tuple(rest))
 
 
-def _tie_key(levels_row: np.ndarray) -> tuple:
-    # significance order the DP reconstruction implies
-    return (int(levels_row[0]), *(int(x) for x in levels_row[:0:-1]))
-
-
 def brute_force(inst: Instance) -> SolveReport:
     """Exhaustive reference solver.
 
-    Enumerates all (L+1)^N assignments (refusing above BRUTE_FORCE_LIMIT),
-    keeps the feasible maximum, and breaks exact value ties with the same
-    selection order as the DP.
+    Enumerates all (L+1)^N assignments (refusing above BRUTE_FORCE_LIMIT) in
+    the DP's tie order: lexicographically in (levels[0], levels[N-1], ...,
+    levels[1]).  The first feasible maximum met is kept, so exact value ties
+    resolve to the same selection as the DP's.
     """
     grid_n = inst.grid.n_tiles
     utility = inst.utility_table
@@ -193,29 +192,23 @@ def brute_force(inst: Instance) -> SolveReport:
     shape = (n_levels,) * grid_n
     cols = np.arange(grid_n)
     best_value = -np.inf
-    best_key = None
     best_levels = None
     for lo in range(0, total, _CHUNK):
         flat = np.arange(lo, min(lo + _CHUNK, total))
-        levels = np.stack(np.unravel_index(flat, shape), axis=1)
+        digits = np.unravel_index(flat, shape)
+        # tile n's level is digit -n mod N, most significant first; stacked row-major,
+        # since the matrix-vector products below sum in another order on other layouts
+        levels = np.stack([digits[-n % grid_n] for n in range(grid_n)], axis=1)
         u_sel = utility[cols[None, :], levels]
         expected = u_sel @ p
         penalty = np.abs(u_sel - u_sel[:, (cols + 1) % grid_n]) @ edge_unit
         value = (1.0 - inst.beta) * expected - inst.beta * penalty
         spend = sizes[cols[None, :], levels].sum(axis=1)
         value[spend > inst.capacity] = -np.inf
-        vmax = value.max()
-        if vmax == -np.inf or vmax < best_value:
-            continue
-        if vmax > best_value:
-            best_value = vmax
-            best_key = None
-        ties = levels[value == vmax]
-        order = np.lexsort(tuple(ties[:, j] for j in range(1, grid_n)) + (ties[:, 0],))
-        key = _tie_key(ties[order[0]])
-        if best_key is None or key < best_key:
-            best_key = key
-            best_levels = ties[order[0]]
+        first = int(np.argmax(value))
+        if value[first] > best_value:
+            best_value = value[first]
+            best_levels = levels[first]
     if best_levels is None:
         raise ValueError("no feasible assignment")
     return SolveReport(Selection(tuple(int(x) for x in best_levels), float(best_value)),
@@ -232,23 +225,21 @@ def solve_mckp(inst: Instance) -> SolveReport:
     if inst.beta != 0.0:
         raise ValueError("the knapsack form requires beta = 0")
     grid_n = inst.grid.n_tiles
-    utility = inst.utility_table
     sizes = inst.size_table
-    n_levels = utility.shape[1]
+    n_levels = sizes.shape[1]
     cap = inst.capacity
-    expect_w, edge_w = _weights(inst)
+    # beta = 0 zeroes the neighbor term, so tile n+1 at level 0 stands for any level
+    gains = _gains(inst)[:, :, 0]
 
     parents = np.empty((grid_n, cap + 1), dtype=np.int16)
     money = np.zeros(cap + 1)
     for n in range(grid_n):
-        gains = (expect_w[n] * utility[n, :]
-                 - edge_w[n] * np.abs(utility[n, :] - utility[(n + 1) % grid_n, 0]))
         shifted = np.full((n_levels, cap + 1), -np.inf)
         for cur in range(n_levels):
             b = sizes[n, cur]
             if b <= cap:
                 shifted[cur, b:] = money[: cap + 1 - b]
-        cand = gains[:, None] + shifted
+        cand = gains[n, :, None] + shifted
         arg = cand.argmax(axis=0)
         parents[n, :] = arg
         money = np.take_along_axis(cand, arg[None, :], axis=0)[0]

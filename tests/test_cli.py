@@ -285,10 +285,27 @@ class TestExitCodes:
         ("analyze", {"metrics": [["heatmap"]]}, "metrics: unknown metric ['heatmap']"),
         ("analyze", {"metrics": ["heatmap", "heatmap"]},
          "metrics: metric 'heatmap' is listed twice"),
+        ("solve", {**TOY_SOLVE, "rates": [144, 625, 2217],
+                   "utility": {"kind": "large_screen", "a": 1e300}},
+         "utility: normalized utilities must be finite"),
+        ("sweep", {**SWEEP, "rates": [144, 625, 2217],
+                   "utility": {"kind": "large_screen", "a": math.inf}},
+         "utility: top-level raw utility must be positive"),
+        ("schedule", {**one_pass_schedule(), "rates": [144, 625, 2217],
+                      "utility": {"kind": "large_screen", "b": math.inf}},
+         "utility: normalized utilities must be finite"),
+        ("oracle", {**TOY_SOLVE, "rates": [144, 625, 2217],
+                    "utility": {"kind": "large_screen", "theta": math.inf}},
+         "utility: top-level raw utility must be positive"),
+        ("solve", {**TOY_SOLVE, "rates": [1, 625, 2217],
+                   "utility": {"kind": "large_screen", "a": 1.5, "b": 1e308}},
+         "utility: normalized utilities must be finite"),
     ], ids=["solve-utility", "sweep-utility", "solve-probs", "schedule-size-model",
             "schedule-pass", "schedule-pass-probs", "oracle-batch", "kinds-empty",
             "kinds-unknown", "kinds-list", "kinds-twice", "metrics-empty", "metrics-unknown",
-            "metrics-list", "metrics-twice"])
+            "metrics-list", "metrics-twice", "solve-large-screen-a-1e300",
+            "sweep-large-screen-a-inf", "schedule-large-screen-b-inf",
+            "oracle-large-screen-theta-inf", "solve-large-screen-b-1e308"])
     def test_refused_config_prints_the_exact_message(self, tmp_path, command, config, message):
         cfg = write_config(tmp_path, config)
         out = str(tmp_path / "out")
@@ -367,9 +384,12 @@ class TestExitCodes:
         ("sweep", {**EMPIRICAL_SWEEP, "N": [6, 24], "capacity": [500000]},
          "DP parents table needs"),
         ("sweep", {**EMPIRICAL_SWEEP, "N": [6, 361]}, "at most 360"),
+        ("sweep", {**EMPIRICAL_SWEEP, "f": [0, 1],
+                   "utility": [{"kind": "linear"}, {"kind": "large_screen", "a": 1e300}]},
+         "utility: normalized utilities must be finite"),
     ], ids=["solve-capacity-negative", "solve-beta-7", "solve-parents-table",
             "schedule-beta-7", "schedule-leads-increasing", "schedule-budget-negative",
-            "sweep-later-N-parents-table", "sweep-later-N-361"])
+            "sweep-later-N-parents-table", "sweep-later-N-361", "sweep-large-screen-a-1e300"])
     def test_refused_config_parses_no_trace(self, tmp_path, small_cohort, command, config,
                                             message):
         # scalars and the DP table are checked before the first vector is built
@@ -405,6 +425,24 @@ class TestSweep:
         for row in rows:
             by_knobs.setdefault((row[3], row[5]), set()).add(row[7])
         assert all(len(values) == 1 for values in by_knobs.values())
+
+    def test_convolved_value_never_rises_with_the_lag(self, tmp_path):
+        # each lag's vector is the one before smoothed once more, and more spread never helps
+        cfg = write_config(tmp_path, {
+            "rates": [144, 625, 2217], "N": [6, 12], "capacity": [500, 2000, 5000],
+            "f": [0, 1, 10], "beta": [0, 0.3], "lags": [1, 2, 3, 4],
+            "utility": [{"kind": "linear"}, {"kind": "log"}], "family": {"kind": "convolved"}})
+        out = tmp_path / "curves.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        groups = {}
+        for row in read_csv(out)[1:]:
+            groups.setdefault(tuple(row[:6]), []).append((float(row[6]), float(row[7])))
+        assert len(groups) == 2 * 3 * 3 * 2 * 2
+        for curve in groups.values():
+            values = [value for _, value in sorted(curve)]
+            assert len(values) == 4
+            # rows carry six decimals
+            assert all(b <= a + 1e-6 for a, b in zip(values, values[1:])), curve
 
     def test_rows_reevaluate_exactly(self, tmp_path):
         cfg = write_config(tmp_path, self.SWEEP)

@@ -71,13 +71,20 @@ class TestLadderAndUtility:
             parse_ladder({"rates": [200, 100]})
 
     def test_parse_utility_defaults_to_linear(self):
-        assert parse_utility({}).kind == "linear"
-        model = parse_utility({"utility": {"kind": "large_screen", "theta": 150}})
+        ladder = parse_ladder({"rates": [100, 200]})
+        assert parse_utility({}, ladder).kind == "linear"
+        model = parse_utility({"utility": {"kind": "large_screen", "theta": 150}}, ladder)
         assert model.theta_kbps == 150.0
 
     def test_parse_utility_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown utility kind"):
-            parse_utility({"utility": {"kind": "cubic"}})
+            parse_utility({"utility": {"kind": "cubic"}}, parse_ladder({"rates": [100, 200]}))
+
+    def test_parse_utility_checks_the_table_on_the_ladder(self):
+        # theta at the top rate makes the top raw utility 0, which no table can normalize
+        ladder = parse_ladder({"rates": [100, 200]})
+        with pytest.raises(ValueError, match="^utility: top-level raw utility must be positive$"):
+            parse_utility({"utility": {"kind": "large_screen"}}, ladder)
 
 
 class TestBuildProbs:

@@ -1,5 +1,7 @@
 """Ladder, utility tables, tile grid, and the slot objective."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -114,6 +116,23 @@ class TestUtilityTable:
         with pytest.raises(ValueError, match="top-level raw utility"):
             build_utility_table(ladder, UtilityModel("large_screen"))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("model, message", [
+        (UtilityModel("large_screen", a=1e300), "must be finite"),
+        (UtilityModel("large_screen", a=np.inf), "top-level raw utility"),
+        (UtilityModel("large_screen", b=np.inf), "must be finite"),
+        (UtilityModel("large_screen", theta_kbps=np.inf), "top-level raw utility"),
+    ], ids=["a-1e300", "a-inf", "b-inf", "theta-inf"])
+    def test_overflowing_parameters_are_refused_without_a_warning(self, ladder6, model, message):
+        with pytest.raises(ValueError, match=message):
+            build_utility_table(ladder6, model)
+
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_theta_gives_a_flat_table(self, ladder6):
+        # every rate over theta overflows to inf, and inf^(1-a) is 0: one raw value b/(a-1)
+        table = build_utility_table(ladder6, UtilityModel("large_screen", theta_kbps=5e-324))
+        np.testing.assert_array_equal(table, [-1.0] + [1.0] * 6)
+
     @given(ladders(), st.sampled_from(["linear", "sqrt", "log", "large_screen"]))
     def test_table_ends_in_one_and_increases(self, ladder, kind):
         model = UtilityModel(kind, theta_kbps=40.0) if kind == "large_screen" else UtilityModel(kind)
@@ -196,6 +215,11 @@ class TestInstance:
         assert inst.utility_table.shape == (3, 3)
         np.testing.assert_array_equal(inst.size_table, [[0, 100, 200]] * 3)
         np.testing.assert_array_equal(inst.utility_table, [[-1.0, 0.5, 1.0]] * 3)
+        # the overrides stay the caller's, so a replaced utility model gets a fresh table
+        assert inst.sizes is None and inst.utilities is None
+        sqrt = replace(inst, utility=UtilityModel("sqrt"))
+        np.testing.assert_array_equal(sqrt.utility_table,
+                                      [build_utility_table(inst.ladder, UtilityModel("sqrt"))] * 3)
 
     def test_size_override_validation(self, toy_ladder):
         def build(sizes):

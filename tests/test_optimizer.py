@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prefetch360 import (
     DirectionGrid,
@@ -13,7 +15,9 @@ from prefetch360 import (
     TileState,
     UtilityModel,
     brute_force,
+    circular_smooth,
     eval_objective,
+    point_mass,
     selection_size,
     solve_dp,
     solve_mckp,
@@ -76,6 +80,16 @@ class TestAgainstBruteForce:
             exhaustive = brute_force(inst)
             assert dp.value == exhaustive.value
             assert dp.selection.levels == exhaustive.selection.levels
+
+    @pytest.mark.parametrize("n_tiles", [4, 6])
+    def test_exact_ties_resolve_in_the_documented_order(self, toy_ladder, n_tiles):
+        # one level-1 tile ties across tiles 1..N-1; the order (levels[0], levels[N-1],
+        # ..., levels[1]) puts it on tile 1, where plain digit order would put it on N-1
+        probs = np.array([0.5] + [0.5 / (n_tiles - 1)] * (n_tiles - 1))
+        inst = Instance(DirectionGrid(n_tiles), toy_ladder, UtilityModel("linear"), probs, 300, 0.0)
+        expected = (2, 1) + (0,) * (n_tiles - 2)
+        assert solve_dp(inst).selection.levels == expected
+        assert brute_force(inst).selection.levels == expected
 
     def test_brute_force_refuses_huge_spaces(self, ladder6):
         inst = Instance(DirectionGrid(12), ladder6, UtilityModel("linear"),
@@ -224,3 +238,43 @@ class TestStructuralProperties:
         report = solve_dp(inst)
         assert report.selection.levels[0] == 0
         assert brute_force(inst).value == pytest.approx(report.value, abs=1e-12)
+
+
+def weights(n):
+    """A probability vector over n entries, from drawn integer weights."""
+    return st.lists(st.integers(0, 100), min_size=n, max_size=n).filter(any).map(
+        lambda w: np.asarray(w, dtype=float) / sum(w))
+
+
+class TestSpreadNeverHelps:
+    """On tiles that share one size row and one utility row, V(p) is convex and
+    invariant under rotating p, and circular_smooth mixes rotations of p, so
+    spreading p never raises the optimum (Marshall, Olkin & Arnold 2011)."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_smoothing_and_the_uniform_and_point_mass_bounds(self, data):
+        n_tiles = data.draw(st.integers(2, 24), label="N")
+        rates = data.draw(st.lists(st.integers(50, 2000), min_size=1, max_size=6, unique=True),
+                          label="rates")
+        f = data.draw(st.sampled_from([0.0, 0.1, 1.0, 10.0]), label="f")
+        kind = data.draw(st.sampled_from(["linear", "sqrt", "log", "large_screen"]), label="kind")
+        beta = data.draw(st.floats(0.0, 1.0), label="beta")
+        capacity = data.draw(st.integers(0, 4000), label="capacity")
+        probs = data.draw(weights(n_tiles), label="probs")
+        kernel = data.draw(weights(n_tiles), label="kernel")
+        grid = DirectionGrid(n_tiles)
+        ladder = QualityLadder(tuple(sorted(float(r) for r in rates)), stall_penalty=f)
+        # theta below the lowest rate keeps large_screen utilities positive
+        utility = UtilityModel(kind, theta_kbps=40.0) if kind == "large_screen" else UtilityModel(kind)
+        caps = sorted({0, capacity // 3, capacity})
+
+        def values(p):
+            report = solve_dp(Instance(grid, ladder, utility, p, capacity, beta), caps)
+            return np.array([selection.value for selection in report.selections])
+
+        tol = 1e-12 * max(1.0, f)
+        at_p = values(probs)
+        assert np.all(values(circular_smooth(probs, kernel)) <= at_p + tol)
+        assert np.all(values(uniform(grid)) <= at_p + tol)
+        assert np.all(at_p <= values(point_mass(0.0, grid)) + tol)
