@@ -17,6 +17,7 @@ bytes.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -25,7 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from .config import (
-    ORACLE_BATCH_LIMIT,  # noqa: F401 - read as cli.ORACLE_BATCH_LIMIT
     load_json,
     load_traces,
     parse_analyze,
@@ -73,13 +73,16 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; each subcommand's ``run`` is its ``cmd_*``."""
     parser = _Parser(prog="prefetch360",
                      description="Tile-quality prefetch optimization and trace analytics.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, traces=False, seed=False, out_required=False):
+    def add(name, run, help_text, traces=True, seed=False, out_required=False):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", required=out_required, default=None,
                        help="output path (default: stdout)")
@@ -87,14 +90,14 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--traces", default=None, help="directory of head-trace CSVs")
         if seed:
             p.add_argument("--seed", type=int, default=0, help="RNG seed")
-        return p
 
-    add("solve", "optimize one instance", traces=True)
-    add("sweep", "optimal-value curves over a lag grid", traces=True)
-    add("schedule", "run a layered prefetch plan", traces=True)
-    add("analyze", "head-trace analytics", traces=True)
-    add("oracle", "cross-check DP against brute force", traces=True, seed=True)
-    add("gen-traces", "write synthetic head traces", seed=True, out_required=True)
+    add("solve", cmd_solve, "optimize one instance")
+    add("sweep", cmd_sweep, "optimal-value curves over a lag grid")
+    add("schedule", cmd_schedule, "run a layered prefetch plan")
+    add("analyze", cmd_analyze, "head-trace analytics")
+    add("oracle", cmd_oracle, "cross-check DP against brute force", seed=True)
+    add("gen-traces", cmd_gen_traces, "write synthetic head traces", traces=False, seed=True,
+        out_required=True)
     return parser
 
 
@@ -177,42 +180,35 @@ def _describe_rows(metric, group, cdf):
 def cmd_analyze(args) -> int:
     spec = parse_analyze(load_json(args.config))
     traces = load_traces(args.traces, spec["category"])
+    metrics, stride = spec["metrics"], spec["stride_s"]
     rows = []
-    for metric in spec["metrics"]:
-        if metric == "utilization":
-            for axis in ("yaw", "pitch", "roll"):
-                rows += _describe_rows("utilization", axis, angle_utilization_cdf(traces, axis))
-        elif metric == "heatmap":
-            grid = heatmap(traces, spec["yaw_bin_deg"], spec["pitch_bin_deg"])
-            for i in range(grid.freq.shape[0]):
-                for j in range(grid.freq.shape[1]):
-                    if grid.freq[i, j] > 0:
-                        group = (f"yaw[{grid.yaw_edges[i]:g},{grid.yaw_edges[i + 1]:g})"
-                                 f"|pitch[{grid.pitch_edges[j]:g},{grid.pitch_edges[j + 1]:g})")
-                        rows.append(("heatmap", group, "freq", _fmt(grid.freq[i, j])))
-        elif metric == "pairwise":
-            times, mean_diff = pairwise_angular_difference(traces, spec["pairwise_step_s"])
-            rows += [("pairwise", "all", f"t_s={t:.2f}", _fmt(v))
-                     for t, v in zip(times, mean_diff)]
-        elif metric == "yaw_change":
-            for lag in spec["lags"]:
-                rows += _describe_rows("yaw_change", f"lag_s={lag:g}",
-                                       yaw_change_cdf(traces, lag, spec["stride_s"]))
-        elif metric == "velocity_error":
-            for lag in spec["lags"]:
-                rate = velocity_prediction_error(traces, lag, spec["vel_threshold_dps"],
-                                                 spec["safety_angle_deg"], spec["stride_s"])
-                rows.append(("velocity_error", f"lag_s={lag:g}", "error_rate", _fmt(rate)))
-        elif metric == "origin_sectors":
-            for lag in spec["lags"]:
-                sectors = origin_conditioned_change(traces, lag, spec["sector_deg"], spec["stride_s"])
-                for s, cdf in sectors.items():
-                    rows += _describe_rows("origin_sectors", f"lag_s={lag:g}|sector={s}", cdf)
-        elif metric == "phase_split":
-            for lag in spec["lags"]:
-                early, late = phase_split_cdf(traces, lag, spec["split_s"], spec["stride_s"])
-                rows += _describe_rows("phase_split", f"lag_s={lag:g}|exploration", early)
-                rows += _describe_rows("phase_split", f"lag_s={lag:g}|steady", late)
+    if "utilization" in metrics:
+        for axis in ("yaw", "pitch", "roll"):
+            rows += _describe_rows("utilization", axis, angle_utilization_cdf(traces, axis))
+    if "heatmap" in metrics:
+        grid = heatmap(traces, spec["yaw_bin_deg"], spec["pitch_bin_deg"])
+        yaw, pitch = grid.yaw_edges, grid.pitch_edges
+        rows += [("heatmap", f"yaw[{yaw[i]:g},{yaw[i + 1]:g})|pitch[{pitch[j]:g},{pitch[j + 1]:g})",
+                  "freq", _fmt(grid.freq[i, j])) for i, j in zip(*np.nonzero(grid.freq))]
+    if "pairwise" in metrics:
+        times, mean_diff = pairwise_angular_difference(traces, spec["pairwise_step_s"])
+        rows += [("pairwise", "all", f"t_s={t:.2f}", _fmt(v)) for t, v in zip(times, mean_diff)]
+    for lag in spec["lags"]:
+        group = f"lag_s={lag:g}"
+        if "yaw_change" in metrics:
+            rows += _describe_rows("yaw_change", group, yaw_change_cdf(traces, lag, stride))
+        if "velocity_error" in metrics:
+            rate = velocity_prediction_error(traces, lag, spec["vel_threshold_dps"],
+                                             spec["safety_angle_deg"], stride)
+            rows.append(("velocity_error", group, "error_rate", _fmt(rate)))
+        if "origin_sectors" in metrics:
+            sectors = origin_conditioned_change(traces, lag, spec["sector_deg"], stride)
+            for s, cdf in sectors.items():
+                rows += _describe_rows("origin_sectors", f"{group}|sector={s}", cdf)
+        if "phase_split" in metrics:
+            early, late = phase_split_cdf(traces, lag, spec["split_s"], stride)
+            rows += _describe_rows("phase_split", f"{group}|exploration", early)
+            rows += _describe_rows("phase_split", f"{group}|steady", late)
     rows.sort()
     rows += [(m, g, s, _fmt(v)) for m, g, s, v in REFERENCE_BANDS]
     _emit_csv(("metric", "group", "stat", "value"), rows, args.out)
@@ -290,20 +286,10 @@ def cmd_gen_traces(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "solve": cmd_solve,
-    "sweep": cmd_sweep,
-    "schedule": cmd_schedule,
-    "analyze": cmd_analyze,
-    "oracle": cmd_oracle,
-    "gen-traces": cmd_gen_traces,
-}
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

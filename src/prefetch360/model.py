@@ -113,7 +113,11 @@ class UtilityModel:
                 raise ValueError("large_screen requires b > 0 and theta > 0")
 
     def raw(self, rate_kbps, ref_rate_kbps: float | None = None):
-        """Raw utility of the given rate(s); ref_rate_kbps feeds the log kind."""
+        """Raw utility of the given rate(s); ref_rate_kbps feeds the log kind.
+
+        Extreme large_screen parameters give +-inf or nan without a warning;
+        build_utility_table refuses such a table.
+        """
         q = np.asarray(rate_kbps, dtype=float)
         if np.any(q <= 0):
             raise ValueError("rates must be positive")
@@ -125,7 +129,8 @@ class UtilityModel:
             if ref_rate_kbps is None or ref_rate_kbps <= 0:
                 raise ValueError("log utility needs a positive reference rate")
             return np.log1p(q / ref_rate_kbps)
-        return self.b * ((q / self.theta_kbps) ** (1.0 - self.a) - 1.0) / (1.0 - self.a)
+        with np.errstate(all="ignore"):
+            return self.b * ((q / self.theta_kbps) ** (1.0 - self.a) - 1.0) / (1.0 - self.a)
 
 
 def build_utility_table(ladder: QualityLadder, model: UtilityModel) -> np.ndarray:

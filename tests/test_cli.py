@@ -30,7 +30,8 @@ from prefetch360 import (
     eval_objective,
 )
 from prefetch360 import cli, scheduler, traces
-from prefetch360.cli import ORACLE_BATCH_LIMIT, main
+from prefetch360.cli import main
+from prefetch360.config import ORACLE_BATCH_LIMIT
 from prefetch360.optimizer import SolveStats
 
 from conftest import SIDECARS, SIX_LEVEL_RATES, TOY_PROBS, trace_csv_bytes
@@ -205,6 +206,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: argument command: invalid choice: 'nope'")
         assert err.count("\n") == 1 and err.endswith("\n")
+
+    def test_one_parser_serves_every_call(self, tmp_path):
+        parser = cli.build_parser()
+        assert cli.build_parser() is parser
+        for name, run in (("solve", cli.cmd_solve), ("sweep", cli.cmd_sweep),
+                          ("schedule", cli.cmd_schedule), ("analyze", cli.cmd_analyze),
+                          ("oracle", cli.cmd_oracle), ("gen-traces", cli.cmd_gen_traces)):
+            args = parser.parse_args([name, "--config", "x", "--out", "y"])
+            assert (args.command, args.run) == (name, run)
+        # a refusal leaves nothing behind in the shared parser for the next call
+        assert run_main([]) == (1, "", "error: the following arguments are required: command\n")
+        code, out, err = run_main(["solve", "--config", write_config(tmp_path, TOY_SOLVE)])
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"capacity": 300, "levels": [2, 1, 0], "method": "dp",
+                                   "spend": 300, "subproblems": 8127, "value": 0.65}
+        code, out, err = run_main(["nope"])
+        assert (code, out) == (1, "") and err.count("\n") == 1
+        assert err.startswith("error: argument command: invalid choice: 'nope'")
 
     SWEEP = {"rates": [100, 200], "N": 3, "capacity": [100, 300], "lags": [1.0, 2.0]}
 
@@ -812,6 +831,21 @@ class TestAnalyze:
         assert (code, out, err) == (1, "", f"error: {message}\n")
         assert parse.call_count == 0
 
+    @pytest.mark.parametrize("metrics", [{}, {"metrics": [
+        "phase_split", "origin_sectors", "velocity_error", "yaw_change", "pairwise", "heatmap",
+        "utilization"]}], ids=["default-order", "reversed"])
+    def test_every_metric_writes_pinned_bytes(self, tmp_path, capsys, metrics):
+        # all seven metrics, three lags, two viewers of every cohort kind: 375 lines
+        cfg = write_config(tmp_path, {"count_per_kind": 2, "duration_s": 30, "rate_hz": 10})
+        out = tmp_path / "traces"
+        assert main(["gen-traces", "--config", cfg, "--out", str(out), "--seed", "7"]) == 0
+        capsys.readouterr()
+        cfg = write_config(tmp_path, {"lags": [0.5, 1, 2], **metrics}, name="analyze.json")
+        code, report, err = run_main(["analyze", "--config", cfg, "--traces", str(out)])
+        assert (code, err, report.count("\n")) == (0, "", 375)
+        assert hashlib.sha256(report.encode()).hexdigest() == \
+            "44f903721f146dd9025af10041476679b9dbaa59b02e42ddcf312dd91aacd4a1"
+
     def test_requires_traces(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"metrics": ["utilization"]})
         assert main(["analyze", "--config", cfg]) == 1
@@ -944,11 +978,12 @@ class TestTraceFiles:
         assert_exit_0_or_1(argv, "metric,group,stat,value\n")
 
 
-@pytest.mark.parametrize("demo", ["capacity_and_lag_tradeoff", "layered_refinement",
-                                  "trace_analytics"])
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
+
+@pytest.mark.parametrize("demo", sorted(DEMOS.glob("*.py")), ids=lambda path: path.stem)
 def test_demo_stdout_is_pinned(demo):
-    # demos/expected holds each demo's stdout, byte for byte
-    demos = Path(__file__).resolve().parents[1] / "demos"
-    proc = run_python(str(demos / f"{demo}.py"))
+    # demos/expected holds each demo's stdout, byte for byte; a demo without one fails
+    proc = run_python(str(demo))
     assert proc.returncode == 0 and proc.stderr == ""
-    assert proc.stdout == (demos / "expected" / f"{demo}.txt").read_text()
+    assert proc.stdout == (DEMOS / "expected" / f"{demo.stem}.txt").read_text()

@@ -96,6 +96,15 @@ class TestUtilityModel:
     def test_large_screen_below_theta_is_negative(self):
         assert UtilityModel("large_screen").raw(144.0) < 0.0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("params", [
+        {"a": 1e300}, {"a": np.inf}, {"theta_kbps": np.inf}, {"theta_kbps": 5e-324},
+        {"b": 1e308, "a": 1.5},
+    ], ids=["a-1e300", "a-inf", "theta-inf", "theta-subnormal", "b-1e308"])
+    def test_extreme_large_screen_parameters_do_not_warn(self, params):
+        # each set overflows or divides by zero inside the closed form
+        assert UtilityModel("large_screen", **params).raw([1.0, 100.0, 625.0]).shape == (3,)
+
 
 class TestUtilityTable:
     def test_toy_table(self, toy_ladder):
