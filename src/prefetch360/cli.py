@@ -15,6 +15,8 @@ deterministic row order, so identical configs and seeds produce identical
 bytes.
 """
 
+from __future__ import annotations
+
 import argparse
 import csv
 import functools

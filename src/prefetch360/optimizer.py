@@ -13,8 +13,10 @@ The recursion maximizes over tile n's level l', pairing u(q[n, l']) with the
 conditioned neighbor u(q[n+1, l]); the answer is max over l of
 DP(l, l, N-1, C), which closes the ring.  Entries that cannot pay for tile
 0's reservation stay -inf, and that sentinel propagates to every state that
-would overspend.  Runtime is Theta(C * N * L^3); the value table is rolled
-over n while full argmax tables are kept for reconstruction.
+would overspend.  Runtime is Theta(C * N * L^3).  The value table is rolled
+over n, and the pinned levels run one after another through one argmax table
+over tiles 1..N-1: when pin l0 finishes, every budget where it beats all
+lower pins is backtracked at once, before the next pin reuses the table.
 
 The forward pass computes the same Theta(C * N * L^3) cells as an argmax
 over l' would, in a cache-friendlier order.  For each pinned l0 and tile n
@@ -50,7 +52,9 @@ __all__ = [
 
 BRUTE_FORCE_LIMIT = 10_000_000
 
-# bytes of int16 argmax table; admits N=24, six levels, C=400k (0.90 GB)
+# bytes of the int16 argmax tables of all L+1 pins together; one pin's table is
+# held at a time, so this bounds work more than memory; admits N=24, six levels,
+# C=400k (0.90 GB, of which 0.13 GB is held)
 PARENTS_TABLE_LIMIT = 1 << 30
 
 _CHUNK = 1 << 18
@@ -92,9 +96,12 @@ def _gains(inst: Instance) -> np.ndarray:
 
 
 def _check_parents_table(n_levels: int, n_tiles: int, capacity: int) -> None:
-    """Refuse an int16 parents table over PARENTS_TABLE_LIMIT; n_levels counts level 0.
+    """Refuse a DP whose int16 parents tables, over all pins, exceed PARENTS_TABLE_LIMIT.
 
-    The table covers tiles 1..N-1: tile 0's level is the pinned l0.
+    n_levels counts level 0.  Each pin's table covers tiles 1..N-1: tile 0's
+    level is the pinned l0.  The DP holds one pin's table at a time, so the
+    bytes counted here, n_levels times that, measure the work of a solve more
+    than its memory.
     """
     table_bytes = n_levels * n_levels * (n_tiles - 1) * (capacity + 1) * 2
     if table_bytes > PARENTS_TABLE_LIMIT:
@@ -108,28 +115,30 @@ def _dp_run(inst: Instance, columns):
     cap = inst.capacity
 
     _check_parents_table(n_levels, grid_n, cap)
-    # parents[l0, n - 1, l, c]: tile n's level given l0 at tile 0 and l at tile n+1;
-    # zeros, because level 0 seeds the running maximum
-    parents = np.zeros((n_levels, grid_n - 1, n_levels, cap + 1), dtype=np.int16)
+    # parents[n - 1, l, c]: tile n's level given the current pin at tile 0 and l at
+    # tile n+1; one table, reused by each pin in turn
+    parents = np.empty((grid_n - 1, n_levels, cap + 1), dtype=np.int16)
     layer = np.empty((n_levels, cap + 1))
     nxt = np.empty_like(layer)
     width = min(_BLOCK, cap + 1)
     cand = np.empty((n_levels, width))
     better = np.empty((n_levels, width), dtype=bool)
 
-    # final[l0, k]: best ring value with tile 0 at l0 within budget columns[k]
-    final = np.empty((n_levels, len(columns)))
+    # best[k]: best selection within budget columns[k] over the pins run so far
+    best = [None] * len(columns)
     gains = _gains(inst)
     for l0 in range(n_levels):
+        # zeros, because level 0 seeds the running maximum
+        parents.fill(0)
         layer.fill(-np.inf)
         layer[:, sizes[0, l0]:] = gains[0, l0, :, None]
         for n in range(1, grid_n):
             for lo in range(0, cap + 1, _BLOCK):
                 hi = min(lo + _BLOCK, cap + 1)
-                best = nxt[:, lo:hi]
-                arg = parents[l0, n - 1, :, lo:hi]
+                top = nxt[:, lo:hi]
+                arg = parents[n - 1, :, lo:hi]
                 # level 0 is free (an Instance invariant), so it seeds every column
-                np.add(gains[n, 0, :, None], layer[0, lo:hi], out=best)
+                np.add(gains[n, 0, :, None], layer[0, lo:hi], out=top)
                 for cur in range(1, n_levels):
                     b = int(sizes[n, cur])
                     start = max(lo, b)
@@ -137,31 +146,31 @@ def _dp_run(inst: Instance, columns):
                         continue
                     w = hi - start
                     np.add(gains[n, cur, :, None], layer[cur, start - b:hi - b], out=cand[:, :w])
-                    np.greater(cand[:, :w], best[:, start - lo:], out=better[:, :w])
-                    np.copyto(best[:, start - lo:], cand[:, :w], where=better[:, :w])
+                    np.greater(cand[:, :w], top[:, start - lo:], out=better[:, :w])
+                    np.copyto(top[:, start - lo:], cand[:, :w], where=better[:, :w])
                     np.copyto(arg[:, start - lo:], cur, where=better[:, :w])
             layer, nxt = nxt, layer
-        final[l0] = layer[l0, columns]
 
-    selections = []
-    for k, c in enumerate(columns):
-        # the first maximum is the lowest l0, the documented tie-break
-        best_l0 = int(np.argmax(final[:, k]))
-        levels = [best_l0] * grid_n
-        l = best_l0
-        for n in range(grid_n - 1, 0, -1):
-            l = int(parents[best_l0, n - 1, l, c])
-            levels[n] = l
-            c -= int(sizes[n, l])
-        selections.append(Selection(tuple(levels), float(final[best_l0, k])))
-    return selections
+        for k, c in enumerate(columns):
+            value = float(layer[l0, c])
+            # strictly greater, so an exact tie keeps the lowest l0, the documented tie-break
+            if best[k] is None or value > best[k].value:
+                levels = [l0] * grid_n
+                l = l0
+                for n in range(grid_n - 1, 0, -1):
+                    l = int(parents[n - 1, l, c])
+                    levels[n] = l
+                    c -= int(sizes[n, l])
+                best[k] = Selection(tuple(levels), value)
+    return best
 
 
 def solve_dp(inst: Instance, capacities=None) -> SolveReport:
     """Exact ring DP; see the module docstring for the recursion.
 
     The pass at ``inst.capacity`` also answers each smaller budget in ``capacities``,
-    read off the same table into ``report.selections`` in the given order.
+    each backtracked from its winning pin's table into ``report.selections`` in
+    the given order.
     """
     caps = _as_nonneg_ints([] if capacities is None else capacities, "capacity", ndim=1)
     if np.any(caps > inst.capacity):

@@ -11,6 +11,8 @@ parameters (yaw, speed, period, step size) and calls the kind's generator;
 its keys are the kinds ``gen-traces`` accepts and writes by default.
 """
 
+from __future__ import annotations
+
 import numpy as np
 
 from .angles import wrap_deg

@@ -1,5 +1,6 @@
 """Solver cross-checks: DP against exhaustive search and the knapsack form."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -157,6 +158,22 @@ class TestCapacityGrid:
         monkeypatch.setattr(optimizer, "PARENTS_TABLE_LIMIT", table_bytes - 1)
         with pytest.raises(ValueError, match="parents table"):
             solve_dp(inst)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.1])
+    def test_dp_holds_one_pinned_levels_table_at_a_time(self, ladder6, beta):
+        n_tiles, cap, width = 24, 8000, ladder6.n_levels + 1
+        grid = DirectionGrid(n_tiles)
+        inst = Instance(grid, ladder6, UtilityModel("log"), wrapped_gaussian(30.0, grid), cap, beta)
+        tracemalloc.start()
+        try:
+            solve_dp(inst, [cap // 2, cap // 4])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one pin's int16 parents table, the two float64 value layers, 1 MiB of block scratch
+        one_table = (n_tiles - 1) * width * (cap + 1) * 2
+        layers = 2 * width * (cap + 1) * 8
+        assert peak <= one_table + layers + (1 << 20)
 
 
 class TestBlocking:
