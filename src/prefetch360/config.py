@@ -192,9 +192,9 @@ def build_probs(spec: dict, grid: DirectionGrid, traces_dir=None) -> np.ndarray:
         # Python floats overflow to inf without a warning; wrapped_gaussian refuses it
         return wrapped_gaussian(sigma0 * math.sqrt(lag), grid)
     if family == "explicit":
-        values = _require(spec, "values")
-        if not isinstance(values, list):
+        if not isinstance(_require(spec, "values"), list):
             raise ValueError("probs.values: expected a list")
+        values = _each(spec, "values", _number)
         try:
             return _as_prob_array(values, grid.n_tiles)
         except ValueError as exc:

@@ -7,26 +7,27 @@ breaks the ring into a chain, which admits an exact dynamic program:
 
     DP(l0, l, n, c) = best value of tiles 0..n when tile 0 is pinned at l0,
                       tile n+1 is conditioned at level l, and tiles 1..n
-                      consumed at most c - b[0, l0] of the budget.
+                      consume at most c, for c up to C - b[0, l0].
 
 The recursion maximizes over tile n's level l', pairing u(q[n, l']) with the
 conditioned neighbor u(q[n+1, l]); the answer is max over l of
-DP(l, l, N-1, C), which closes the ring.  Entries that cannot pay for tile
-0's reservation stay -inf, and that sentinel propagates to every state that
-would overspend.  Runtime is Theta(C * N * L^3).  The value table is rolled
-over n, and the pinned levels run one after another through one argmax table
-over tiles 1..N-1: when pin l0 finishes, every budget where it beats all
-lower pins is backtracked at once, before the next pin reuses the table.
+DP(l, l, N-1, C - b[0, l]), which closes the ring.  So each pin runs on the
+budget tile 0 leaves it, every entry is finite, and a pin that cannot pay for
+tile 0 runs no pass: the cells are (C - b[0, l0] + 1) * (N-1) * (L+1)^2 summed
+over paying pins, at most Theta(C * N * L^3).  The value table is rolled over
+n, and the pinned levels run one after another through one argmax table over
+tiles 1..N-1: when pin l0 finishes, every budget where it beats all lower
+pins is backtracked at once, before the next pin reuses it.
 
-The forward pass computes the same Theta(C * N * L^3) cells as an argmax
-over l' would, in a cache-friendlier order.  For each pinned l0 and tile n
-it walks the budget axis in blocks of _BLOCK columns.  Within a block, level
-0 (always free) seeds the running maximum for every conditioned l at once;
-each higher l' then adds its gains to the shifted previous layer and takes
-over wherever it is strictly greater, writing its index into the parents
-table.  A strict running maximum keeps the first maximum, exactly as argmax
-does, and every value is still the same single sum, so values and selections
-are bit-identical to a first-maximum argmax over l'.  A block's working set
+The forward pass computes the same cells as an argmax over l' would, in a
+cache-friendlier order.  For each pinned l0 and tile n it walks its budget
+axis in blocks of _BLOCK columns.  Within a block, level 0 (always free)
+seeds the running maximum for every conditioned l at once; each higher l'
+then adds its gains to the shifted previous layer and takes over wherever it
+is strictly greater, writing its index into the parents table.  A strict
+running maximum keeps the first maximum, exactly as argmax does, and every
+value is still the same single sum, so values and selections are
+bit-identical to a first-maximum argmax over l'.  A block's working set
 (candidates, running maximum, mask and parents, about 19 B per level and
 column) stays in L2.
 
@@ -99,9 +100,9 @@ def _check_parents_table(n_levels: int, n_tiles: int, capacity: int) -> None:
     """Refuse a DP whose int16 parents tables, over all pins, exceed PARENTS_TABLE_LIMIT.
 
     n_levels counts level 0.  Each pin's table covers tiles 1..N-1: tile 0's
-    level is the pinned l0.  The DP holds one pin's table at a time, so the
-    bytes counted here, n_levels times that, measure the work of a solve more
-    than its memory.
+    level is the pinned l0.  The bytes counted here, n_levels tables at the full
+    C, bound the work of a solve from above: the DP holds one pin's table at a
+    time and fills only the budget its tile 0 leaves.
     """
     table_bytes = n_levels * n_levels * (n_tiles - 1) * (capacity + 1) * 2
     if table_bytes > PARENTS_TABLE_LIMIT:
@@ -115,8 +116,8 @@ def _dp_run(inst: Instance, columns):
     cap = inst.capacity
 
     _check_parents_table(n_levels, grid_n, cap)
-    # parents[n - 1, l, c]: tile n's level given the current pin at tile 0 and l at
-    # tile n+1; one table, reused by each pin in turn
+    # parents[n - 1, l, j]: tile n's level given the current pin at tile 0, l at tile
+    # n+1 and j of the room tile 0 leaves; one table, reused by each pin in turn
     parents = np.empty((grid_n - 1, n_levels, cap + 1), dtype=np.int16)
     layer = np.empty((n_levels, cap + 1))
     nxt = np.empty_like(layer)
@@ -128,13 +129,15 @@ def _dp_run(inst: Instance, columns):
     best = [None] * len(columns)
     gains = _gains(inst)
     for l0 in range(n_levels):
+        room = cap - int(sizes[0, l0])
+        if room < 0:
+            continue
         # zeros, because level 0 seeds the running maximum
-        parents.fill(0)
-        layer.fill(-np.inf)
-        layer[:, sizes[0, l0]:] = gains[0, l0, :, None]
+        parents[:, :, :room + 1] = 0
+        layer[:, :room + 1] = gains[0, l0, :, None]
         for n in range(1, grid_n):
-            for lo in range(0, cap + 1, _BLOCK):
-                hi = min(lo + _BLOCK, cap + 1)
+            for lo in range(0, room + 1, _BLOCK):
+                hi = min(lo + _BLOCK, room + 1)
                 top = nxt[:, lo:hi]
                 arg = parents[n - 1, :, lo:hi]
                 # level 0 is free (an Instance invariant), so it seeds every column
@@ -152,6 +155,9 @@ def _dp_run(inst: Instance, columns):
             layer, nxt = nxt, layer
 
         for k, c in enumerate(columns):
+            c -= int(sizes[0, l0])
+            if c < 0:
+                continue
             value = float(layer[l0, c])
             # strictly greater, so an exact tie keeps the lowest l0, the documented tie-break
             if best[k] is None or value > best[k].value:

@@ -319,12 +319,19 @@ class TestExitCodes:
         ("solve", {**TOY_SOLVE, "rates": [1, 625, 2217],
                    "utility": {"kind": "large_screen", "a": 1.5, "b": 1e308}},
          "utility: normalized utilities must be finite"),
+        ("solve", {**TOY_SOLVE, "probs": {"family": "explicit", "values": ["0.5", "0.5", "0"]}},
+         "values[0]: expected a number"),
+        ("solve", {**TOY_SOLVE, "probs": {"family": "explicit", "values": [True, False, False]}},
+         "values[0]: expected a number"),
+        ("solve", {**TOY_SOLVE, "probs": {"family": "explicit", "values": [10**400, 0, 0]}},
+         "values[0]: number out of range"),
     ], ids=["solve-utility", "sweep-utility", "solve-probs", "schedule-size-model",
             "schedule-pass", "schedule-pass-probs", "oracle-batch", "kinds-empty",
             "kinds-unknown", "kinds-list", "kinds-twice", "metrics-empty", "metrics-unknown",
             "metrics-list", "metrics-twice", "solve-large-screen-a-1e300",
             "sweep-large-screen-a-inf", "schedule-large-screen-b-inf",
-            "oracle-large-screen-theta-inf", "solve-large-screen-b-1e308"])
+            "oracle-large-screen-theta-inf", "solve-large-screen-b-1e308",
+            "explicit-values-strings", "explicit-values-bools", "explicit-values-1e400"])
     def test_refused_config_prints_the_exact_message(self, tmp_path, command, config, message):
         cfg = write_config(tmp_path, config)
         out = str(tmp_path / "out")

@@ -108,6 +108,9 @@ class TestBuildProbs:
         assert p[0] == 0.5
         with pytest.raises(ValueError, match="sum to 1"):
             build_probs({"family": "explicit", "values": [1.0] * 6}, grid)
+        # each element is read as a config number, so a numeric string is refused
+        with pytest.raises(ValueError, match=r"^values\[1\]: expected a number$"):
+            build_probs({"family": "explicit", "values": [0.5, "0.5", 0, 0, 0, 0]}, grid)
 
     def test_convolved_steps(self, grid):
         base = build_probs({"family": "convolved", "base_sigma_deg": 20.0,

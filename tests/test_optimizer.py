@@ -129,6 +129,9 @@ class TestCapacityGrid:
             # unsorted, with 0, the top budget and a repeated entry
             picks = rng.integers(0, inst.capacity + 1, size=4).tolist()
             caps = [picks[0], 0, inst.capacity, *picks[1:], picks[0]]
+            # each pin's tile-0 price -1, +0 and +1: every pin meets room -1, 0 and 1
+            caps += [min(max(int(b) + d, 0), inst.capacity)
+                     for b in inst.size_table[0] for d in (-1, 0, 1)]
             rng.shuffle(caps)
             report = solve_dp(inst, caps)
             assert len(report.selections) == len(caps)
@@ -137,6 +140,11 @@ class TestCapacityGrid:
                 assert selection.levels == alone.selection.levels
                 assert selection.value == alone.value
                 assert selection_size(selection, inst) <= cap
+                if draw is dyadic_instance:
+                    # exact arithmetic, so brute force agrees bit for bit, ties included
+                    exhaustive = brute_force(replace(inst, capacity=cap))
+                    assert selection.levels == exhaustive.selection.levels
+                    assert selection.value == exhaustive.value
 
     def test_rejects_capacities_outside_the_table(self, toy_instance):
         inst = toy_instance(capacity=300)
