@@ -40,12 +40,3 @@ def unwrap_deg(angles):
     """
     return np.unwrap(np.asarray(angles, dtype=float), period=360.0)
 
-
-def interp_angle_deg(t_query, t, angles):
-    """Interpolate a wrapped angle signal along the shorter arc.
-
-    The signal is unwrapped, interpolated linearly, then wrapped back, so a
-    step from 170 to -170 passes through +-180 rather than through 0.
-    """
-    lifted = unwrap_deg(angles)
-    return wrap_deg(np.interp(t_query, t, lifted))

@@ -75,6 +75,17 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+def _seed(text: str) -> int:
+    # numpy refuses a negative seed in words that name no flag
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError("must be a nonnegative integer")
+    return seed
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process; each subcommand's ``run`` is its ``cmd_*``."""
@@ -91,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
         if traces:
             p.add_argument("--traces", default=None, help="directory of head-trace CSVs")
         if seed:
-            p.add_argument("--seed", type=int, default=0, help="RNG seed")
+            p.add_argument("--seed", type=_seed, default=0, help="RNG seed")
 
     add("solve", cmd_solve, "optimize one instance")
     add("sweep", cmd_sweep, "optimal-value curves over a lag grid")

@@ -266,10 +266,16 @@ def parse_schedule(cfg: dict, traces_dir=None):
     _check_beta(beta)
     PrefetchPlan(tuple(passes))
     _check_parents_table(ladder.n_levels + 1, grid.n_tiles, max(p.budget for p in passes))
-    plan = PrefetchPlan(tuple(
-        replace(p, probs=build_probs({"lag_s": p.lead_time_s, **block["probs"]}, grid, traces_dir))
-        for p, block in zip(passes, raw_passes)))
-    return plan, ladder, utility, beta, size_model
+    for i, block in enumerate(raw_passes):
+        try:
+            passes[i] = replace(passes[i], probs=build_probs(
+                {"lag_s": passes[i].lead_time_s, **block["probs"]}, grid, traces_dir))
+        except ValueError as exc:
+            # build_probs's own refusals already name the block; a trace file's start with its path
+            named = str(exc).startswith(("probs: ", "probs.lag_s: ", "probs.values: ", "probs.steps: "))
+            where = "" if named else "probs: "
+            raise ValueError(f"passes[{i}].{where}{exc}") from None
+    return PrefetchPlan(tuple(passes)), ladder, utility, beta, size_model
 
 
 def parse_sweep(cfg: dict, traces_dir=None):

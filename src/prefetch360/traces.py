@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .angles import circ_diff_deg, circ_dist_deg, interp_angle_deg, unwrap_deg, wrap_deg
+from .angles import circ_diff_deg, circ_dist_deg, unwrap_deg, wrap_deg
 
 __all__ = [
     "CATEGORIES",
@@ -71,6 +71,8 @@ class HeadTrace:
     Timestamps are strictly increasing seconds; at least two samples.  Yaw
     and roll live in [-180, 180), pitch in [-90, 90].  Velocities are signed
     degrees per second (positive yaw velocity turns toward increasing yaw).
+    ``lifted_yaw`` is the yaw unwrapped once, when the trace is built; every
+    reading of yaw between samples interpolates it, along the shorter arc.
     """
 
     t: np.ndarray
@@ -112,6 +114,7 @@ class HeadTrace:
             raise ValueError(f"unknown category {self.category!r}")
         for name, arr in arrays.items():
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "lifted_yaw", unwrap_deg(arrays["yaw"]))
 
     @property
     def duration_s(self) -> float:
@@ -287,11 +290,10 @@ def _windows(traces, lag_s: float, stride_s: float):
     Start times step every stride_s from each trace's first sample while the
     whole lag_s window fits.  ``elapsed`` is the start time since that first
     sample, ``origin_yaw`` the yaw there and ``change`` the signed circular
-    yaw change over the following lag_s, both as ``angles.interp_angle_deg``
-    reads them from one unwrap per trace; ``yaw_vel`` is the yaw velocity at
-    the start.  The lag must be nonnegative and shorter than every trace, and
-    the window count is checked against GRID_LIMIT before anything is
-    allocated.
+    yaw change over the following lag_s, both read from the trace's
+    ``lifted_yaw``; ``yaw_vel`` is the yaw velocity at the start.  The lag
+    must be nonnegative and shorter than every trace, and the window count is
+    checked against GRID_LIMIT before anything is allocated.
     """
     traces = _require_traces(traces)
     if not 0 < stride_s < np.inf:
@@ -307,9 +309,8 @@ def _windows(traces, lag_s: float, stride_s: float):
     parts = []
     for tr, count in zip(traces, counts):
         starts = tr.t[0] + np.arange(int(count)) * stride_s
-        lifted = unwrap_deg(tr.yaw)
-        origin = wrap_deg(np.interp(starts, tr.t, lifted))
-        change = circ_diff_deg(wrap_deg(np.interp(starts + lag_s, tr.t, lifted)), origin)
+        origin = wrap_deg(np.interp(starts, tr.t, tr.lifted_yaw))
+        change = circ_diff_deg(wrap_deg(np.interp(starts + lag_s, tr.t, tr.lifted_yaw)), origin)
         parts.append((starts - tr.t[0], origin, change, np.interp(starts, tr.t, tr.yaw_vel)))
     return tuple(np.concatenate(column) for column in zip(*parts))
 
@@ -426,7 +427,7 @@ def pairwise_angular_difference(traces, time_step_s: float = 0.1):
     times = np.arange(0.0, horizon + _EPS, time_step_s)
     per_video = []
     for group in groups.values():
-        tracks = [interp_angle_deg(tr.t[0] + times, tr.t, tr.yaw) for tr in group]
+        tracks = [wrap_deg(np.interp(tr.t[0] + times, tr.t, tr.lifted_yaw)) for tr in group]
         dists = [circ_dist_deg(tracks[i], tracks[j])
                  for i in range(len(tracks)) for j in range(i + 1, len(tracks))]
         per_video.append(np.mean(dists, axis=0))

@@ -1,4 +1,4 @@
-"""Circular arithmetic: wrapping, signed differences, interpolation."""
+"""Circular arithmetic: wrapping, signed differences, unwrapping."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from prefetch360.angles import (
     circ_diff_deg,
     circ_dist_deg,
-    interp_angle_deg,
     unwrap_deg,
     wrap_deg,
 )
@@ -104,18 +103,3 @@ def test_unwrap_keeps_small_steps():
     seq = [0.0, 10.0, 20.0, 15.0]
     np.testing.assert_array_equal(unwrap_deg(seq), seq)
 
-
-def test_interp_crosses_the_seam():
-    # halfway between 170 and -170 lies at the +-180 seam, not at 0
-    mid = interp_angle_deg(0.5, [0.0, 1.0], [170.0, -170.0])
-    assert mid == -180.0
-
-
-def test_interp_plain_segment():
-    assert interp_angle_deg(0.25, [0.0, 1.0], [10.0, 30.0]) == pytest.approx(15.0)
-
-
-def test_interp_hits_sample_points():
-    t = np.array([0.0, 1.0, 2.5])
-    angles = np.array([-10.0, 179.0, -120.0])
-    np.testing.assert_allclose(interp_angle_deg(t, t, angles), angles, atol=1e-12)

@@ -194,13 +194,21 @@ class TestExitCodes:
         assert main(["solve", "--config", cfg]) == 1
         assert "unknown family" in capsys.readouterr().err
 
-    def test_bad_arguments(self, capsys):
+    def test_bad_arguments(self, tmp_path, capsys):
         for argv, line in (
                 ([], "the following arguments are required: command"),
                 (["solve"], "the following arguments are required: --config"),
                 (["solve", "--config", "x", "--bogus"], "unrecognized arguments: --bogus")):
             assert main(argv) == 1
             assert capsys.readouterr().err == f"error: {line}\n"
+        # numpy's own refusal of a negative seed would not name the flag
+        out = tmp_path / "traces"
+        for argv in (["oracle", "--config", write_config(tmp_path, {"batch": {"count": 1}})],
+                     ["gen-traces", "--config", write_config(tmp_path, {"count_per_kind": 1}),
+                      "--out", str(out)]):
+            assert run_main([*argv, "--seed", "-1"]) == (
+                1, "", "error: argument --seed: must be a nonnegative integer\n")
+        assert not out.exists()
         assert main(["nope"]) == 1
         # the list of choices after the name is worded differently across Python versions
         err = capsys.readouterr().err
@@ -226,6 +234,13 @@ class TestExitCodes:
         assert err.startswith("error: argument command: invalid choice: 'nope'")
 
     SWEEP = {"rates": [100, 200], "N": 3, "capacity": [100, 300], "lags": [1.0, 2.0]}
+
+    # the README's plan.json
+    PLAN = {"rates": [144, 268, 625, 1124, 2217, 4198], "utility": {"kind": "large_screen"},
+            "N": 6, "beta": 0.1, "size_model": {"mode": "svc_ideal", "overhead": 0.0},
+            "passes": [{"lead_s": lead, "budget": budget,
+                        "probs": {"family": "wrapped_gaussian_sqrt"}}
+                       for lead, budget in ((20, 2000), (5, 1500), (1, 1500))]}
 
     @pytest.mark.parametrize("command, config, key", [
         ("sweep", {**SWEEP, "capacity": None}, "capacity"),
@@ -325,13 +340,22 @@ class TestExitCodes:
          "values[0]: expected a number"),
         ("solve", {**TOY_SOLVE, "probs": {"family": "explicit", "values": [10**400, 0, 0]}},
          "values[0]: number out of range"),
+        ("schedule", {**PLAN, "passes": [
+            PLAN["passes"][0],
+            {**PLAN["passes"][1], "probs": {"family": "wrapped_gaussian", "sigma_deg": "30"}},
+            PLAN["passes"][2]]},
+         "passes[1].probs: sigma_deg: expected a number"),
+        ("schedule", one_pass_schedule(probs={"family": "explicit", "values": [0.5, 0.5]}),
+         "passes[0].probs: probabilities length must match the tile count: "
+         "need 3 tile probabilities, got shape (2,)"),
     ], ids=["solve-utility", "sweep-utility", "solve-probs", "schedule-size-model",
             "schedule-pass", "schedule-pass-probs", "oracle-batch", "kinds-empty",
             "kinds-unknown", "kinds-list", "kinds-twice", "metrics-empty", "metrics-unknown",
             "metrics-list", "metrics-twice", "solve-large-screen-a-1e300",
             "sweep-large-screen-a-inf", "schedule-large-screen-b-inf",
             "oracle-large-screen-theta-inf", "solve-large-screen-b-1e308",
-            "explicit-values-strings", "explicit-values-bools", "explicit-values-1e400"])
+            "explicit-values-strings", "explicit-values-bools", "explicit-values-1e400",
+            "schedule-pass-1-sigma-string", "schedule-explicit-length"])
     def test_refused_config_prints_the_exact_message(self, tmp_path, command, config, message):
         cfg = write_config(tmp_path, config)
         out = str(tmp_path / "out")

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from prefetch360 import (
     HeadTrace,
     angle_utilization_cdf,
     constant_trace,
+    empirical_yaw_change,
     explore_then_fixate_trace,
     heatmap,
     linear_rotation_trace,
@@ -29,7 +31,6 @@ from prefetch360 import (
     yaw_change_cdf,
 )
 from prefetch360 import traces
-from prefetch360.angles import interp_angle_deg
 from prefetch360.traces import TRACE_COLUMNS
 
 from conftest import trace_csv_bytes
@@ -230,10 +231,51 @@ class TestRebaseAndResample:
         path.write_text("t_s,yaw_deg,pitch_deg,roll_deg\n0,100,0,0\n1,110,0,0\n2,90,0,0\n")
         np.testing.assert_allclose(parse_trace(path).yaw, [0.0, 10.0, -10.0])
 
-    def test_yaw_at_recovers_samples(self):
+
+class TestLiftedYaw:
+    """Every reading of yaw between samples goes through the trace's one unwrap."""
+
+    def test_is_one_unwrap_of_the_yaw(self, tmp_path):
+        path = tmp_path / "seam.csv"
+        path.write_text("t_s,yaw_deg,pitch_deg,roll_deg\n0,0,0,0\n1,170,0,0\n2,-170,0,0\n"
+                        "3,-10,0,0\n4,175,0,0\n")
+        rotation = linear_rotation_trace(95.0, duration_s=20.0, rate_hz=10.0)
+        for trace in (parse_trace(path), rotation):
+            assert np.array_equal(trace.lifted_yaw, np.unwrap(trace.yaw, period=360.0))
+
+    def test_window_midpoint_crosses_the_seam(self):
+        # halfway between 170 and -170 lies at the +-180 seam, not at 0
+        origin = traces._windows([manual_trace([0.0, 1.0], [170.0, -170.0])], 0.0, 0.5)[1]
+        assert origin[1] == -180.0
+        np.testing.assert_array_equal(origin, [170.0, -180.0, -170.0])
+
+    def test_window_reads_a_plain_segment(self):
+        origin = traces._windows([manual_trace([0.0, 1.0], [10.0, 30.0])], 0.0, 0.25)[1]
+        np.testing.assert_allclose(origin, [10.0, 15.0, 20.0, 25.0, 30.0])
+
+    def test_windows_hit_sample_points(self):
+        angles = np.array([-10.0, 179.0, -120.0])
+        elapsed, origin, _, _ = traces._windows([manual_trace([0.0, 1.0, 2.5], angles)], 0.0, 0.5)
+        np.testing.assert_array_equal(elapsed[[0, 2, 5]], [0.0, 1.0, 2.5])
+        np.testing.assert_allclose(origin[[0, 2, 5]], angles, atol=1e-12)
+
+    def test_windows_recover_sinusoid_samples(self):
         trace = sinusoid_trace(40.0, 6.0, duration_s=3.0, rate_hz=20.0)
-        np.testing.assert_allclose(interp_angle_deg(trace.t, trace.t, trace.yaw), trace.yaw,
-                                   atol=1e-9)
+        origin = traces._windows([trace], 0.0, 1 / 20.0)[1]
+        np.testing.assert_allclose(origin, trace.yaw, atol=1e-9)
+
+    def test_analytics_unwrap_nothing(self):
+        cohort = [random_walk_trace(30.0, 20.0, step_sigma_deg=8.0, rng=np.random.default_rng(i),
+                                    video_id=f"v{i % 2}", user_id=f"u{i}") for i in range(4)]
+        cohort.append(linear_rotation_trace(40.0, duration_s=30.0, rate_hz=20.0, video_id="v0"))
+        with mock.patch("prefetch360.traces.unwrap_deg", wraps=traces.unwrap_deg) as unwrap:
+            yaw_change_cdf(cohort, 1.0)
+            velocity_prediction_error(cohort, 1.0, 5.0)
+            origin_conditioned_change(cohort, 1.0)
+            phase_split_cdf(cohort, 1.0, split_s=10.0)
+            pairwise_angular_difference(cohort)
+            empirical_yaw_change(cohort, 1.0)
+        assert unwrap.call_count == 0
 
 
 class TestYawChanges:
