@@ -124,11 +124,20 @@ def _as_list(value):
 
 
 def _each(cfg: dict, key: str, check, default=None) -> list:
-    """A scalar-or-list knob as a list, each element checked by ``_int`` or ``_number``."""
+    """A scalar-or-list knob as a list, each element read by ``_int``, ``_number`` or ``_grid``."""
     values = _require(cfg, key) if default is None else cfg.get(key, default)
     if not isinstance(values, list):
         return [check({key: values}, key)]
     return [check({f"{key}[{i}]": v}, f"{key}[{i}]") for i, v in enumerate(values)]
+
+
+def _grid(cfg: dict, key: str) -> DirectionGrid:
+    """The tile grid of an integer tile count; a refused count names its key."""
+    n_tiles = _int(cfg, key)
+    try:
+        return DirectionGrid(n_tiles)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
 
 
 def parse_ladder(cfg: dict) -> QualityLadder:
@@ -224,7 +233,7 @@ def _convolved(spec: dict, grid: DirectionGrid, steps: int) -> list:
 def parse_instance(cfg: dict, traces_dir=None) -> Instance:
     ladder = parse_ladder(cfg)
     utility = parse_utility(cfg, ladder)
-    grid = DirectionGrid(_int(cfg, "N"))
+    grid = _grid(cfg, "N")
     capacity, beta = _int(cfg, "capacity"), _number(cfg, "beta", 0.0)
     # every scalar, and the DP table they size, is checked before a trace is parsed
     _check_beta(beta)
@@ -243,7 +252,7 @@ def parse_schedule(cfg: dict, traces_dir=None):
     """
     ladder = parse_ladder(cfg)
     utility = parse_utility(cfg, ladder)
-    grid = DirectionGrid(_int(cfg, "N"))
+    grid = _grid(cfg, "N")
     beta = _number(cfg, "beta", 0.0)
     sm_block = _object(cfg.get("size_model", {}), "size_model")
     try:
@@ -314,8 +323,7 @@ def parse_sweep(cfg: dict, traces_dir=None):
     utilities = [(m.kind if m.kind not in [k.kind for k in models[:i]] else f"{m.kind}#{i}", m)
                  for i, m in enumerate(models)]
     grids = []
-    for n_tiles in _each(cfg, "N", _int):
-        grid = DirectionGrid(n_tiles)
+    for grid in _each(cfg, "N", _grid):
         if caps:
             _check_parents_table(ladders[0][1].n_levels + 1, grid.n_tiles, max(caps))
         grids.append(grid)

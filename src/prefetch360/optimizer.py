@@ -15,21 +15,28 @@ DP(l, l, N-1, C - b[0, l]), which closes the ring.  So each pin runs on the
 budget tile 0 leaves it, every entry is finite, and a pin that cannot pay for
 tile 0 runs no pass: the cells are (C - b[0, l0] + 1) * (N-1) * (L+1)^2 summed
 over paying pins, at most Theta(C * N * L^3).  The value table is rolled over
-n, and the pinned levels run one after another through one argmax table over
-tiles 1..N-1: when pin l0 finishes, every budget where it beats all lower
-pins is backtracked at once, before the next pin reuses it.
+n, and the pinned levels run one after another, in two passes.  Pass 1 runs
+every paying pin for values only and picks each requested budget's winner: the
+first pin whose value there is strictly greater.  Pass 2 runs each distinct
+winning pin again, up to the largest budget it wins, with an argmax table over
+tiles 1..N-1, and backtracks every budget it wins.  The DP is causal in c, so
+the shorter rerun gives the same values; the reported value and selection come
+from pass 2.  At beta = 0 the neighbor term is 0.0 * |u - u'|, so all L+1
+conditioned rows are bitwise equal and both passes carry one row.
 
 The forward pass computes the same cells as an argmax over l' would, in a
 cache-friendlier order.  For each pinned l0 and tile n it walks its budget
 axis in blocks of _BLOCK columns.  Within a block, level 0 (always free)
 seeds the running maximum for every conditioned l at once; each higher l'
-then adds its gains to the shifted previous layer and takes over wherever it
-is strictly greater, writing its index into the parents table.  A strict
-running maximum keeps the first maximum, exactly as argmax does, and every
-value is still the same single sum, so values and selections are
-bit-identical to a first-maximum argmax over l'.  A block's working set
-(candidates, running maximum, mask and parents, about 19 B per level and
-column) stays in L2.
+then adds its gains to the shifted previous layer.  Pass 1 takes a plain
+maximum; pass 2 takes over only where the candidate is strictly greater,
+writing its index into the parents table.  A strict running maximum keeps the
+first maximum, exactly as argmax does, and every value is still the same
+single sum, so values and selections are bit-identical to a first-maximum
+argmax over l'.  The two maxima can differ only in the sign of a zero (gains
+are -0.0 where p_n = 0 and u < 0), which compares equal, so both passes pick
+the same winners.  A block's working set (candidates, running maximum, mask
+and parents, about 19 B per level and column) stays in L2.
 
 Ties are broken deterministically: the lowest level wins at the current
 tile, then the lowest pinned level l0.  Over a whole selection this prefers
@@ -53,9 +60,9 @@ __all__ = [
 
 BRUTE_FORCE_LIMIT = 10_000_000
 
-# bytes of the int16 argmax tables of all L+1 pins together; one pin's table is
-# held at a time, so this bounds work more than memory; admits N=24, six levels,
-# C=400k (0.90 GB, of which 0.13 GB is held)
+# bytes of the int16 argmax tables of all L+1 pins together; pass 2 holds one
+# winning pin's table (one row at beta = 0), so this bounds work more than memory;
+# admits N=24, six levels, C=400k (0.90 GB, of which at most 0.13 GB is held)
 PARENTS_TABLE_LIMIT = 1 << 30
 
 _CHUNK = 1 << 18
@@ -101,12 +108,54 @@ def _check_parents_table(n_levels: int, n_tiles: int, capacity: int) -> None:
 
     n_levels counts level 0.  Each pin's table covers tiles 1..N-1: tile 0's
     level is the pinned l0.  The bytes counted here, n_levels tables at the full
-    C, bound the work of a solve from above: the DP holds one pin's table at a
-    time and fills only the budget its tile 0 leaves.
+    C, bound the work of a solve from above: pass 2 holds one table, sized for
+    the winning pins' budgets, with one row at beta = 0.
     """
     table_bytes = n_levels * n_levels * (n_tiles - 1) * (capacity + 1) * 2
     if table_bytes > PARENTS_TABLE_LIMIT:
         raise ValueError(f"DP parents table needs {table_bytes} bytes, over {PARENTS_TABLE_LIMIT}")
+
+
+def _forward(gains, sizes, l0, room, layers, parents=None):
+    """Run pin l0's chain over tiles 1..N-1 on the budget columns 0..room; return its last layer.
+
+    layers is a (2, rows, >= room+1) pair of value layers, used in turn; gains has
+    ``rows`` conditioned rows (L+1, or 1 when every row is the same), and a read of
+    conditioned row l reads row min(l, rows-1).  Without ``parents`` each level
+    takes a plain running maximum; with it, a level takes over only where it is
+    strictly greater and writes its index into parents[:, :, :room+1].
+    """
+    rows = gains.shape[2]
+    layer, nxt = layers
+    width = min(_BLOCK, room + 1)
+    cand = np.empty((rows, width))
+    if parents is not None:
+        better = np.empty((rows, width), dtype=bool)
+        # zeros, because level 0 seeds the running maximum
+        parents[:, :, :room + 1] = 0
+    layer[:, :room + 1] = gains[0, l0, :, None]
+    for n in range(1, sizes.shape[0]):
+        for lo in range(0, room + 1, _BLOCK):
+            hi = min(lo + _BLOCK, room + 1)
+            top = nxt[:, lo:hi]
+            # level 0 is free (an Instance invariant), so it seeds every column
+            np.add(gains[n, 0, :, None], layer[0, lo:hi], out=top)
+            for cur in range(1, sizes.shape[1]):
+                b = int(sizes[n, cur])
+                start = max(lo, b)
+                if start >= hi:
+                    continue
+                w = hi - start
+                np.add(gains[n, cur, :, None], layer[min(cur, rows - 1), start - b:hi - b],
+                       out=cand[:, :w])
+                if parents is None:
+                    np.maximum(cand[:, :w], top[:, start - lo:], out=top[:, start - lo:])
+                else:
+                    np.greater(cand[:, :w], top[:, start - lo:], out=better[:, :w])
+                    np.copyto(top[:, start - lo:], cand[:, :w], where=better[:, :w])
+                    np.copyto(parents[n - 1, :, start:hi], cur, where=better[:, :w])
+        layer, nxt = nxt, layer
+    return layer
 
 
 def _dp_run(inst: Instance, columns):
@@ -116,59 +165,50 @@ def _dp_run(inst: Instance, columns):
     cap = inst.capacity
 
     _check_parents_table(n_levels, grid_n, cap)
-    # parents[n - 1, l, j]: tile n's level given the current pin at tile 0, l at tile
-    # n+1 and j of the room tile 0 leaves; one table, reused by each pin in turn
-    parents = np.empty((grid_n - 1, n_levels, cap + 1), dtype=np.int16)
-    layer = np.empty((n_levels, cap + 1))
-    nxt = np.empty_like(layer)
-    width = min(_BLOCK, cap + 1)
-    cand = np.empty((n_levels, width))
-    better = np.empty((n_levels, width), dtype=bool)
-
-    # best[k]: best selection within budget columns[k] over the pins run so far
-    best = [None] * len(columns)
     gains = _gains(inst)
+    if inst.beta == 0.0:
+        # x - 0.0 * y == x, so every conditioned row is the same: carry one
+        gains = gains[:, :, :1]
+    rows = gains.shape[2]
+    layers = np.empty((2, rows, cap + 1))
+
+    # pass 1, values only: winner[k] is the first pin strictly best at budget columns[k],
+    # so an exact tie keeps the lowest l0, the documented tie-break; pin 0 pays for
+    # every budget, since level 0 is free
+    winner = [0] * len(columns)
+    best = [-np.inf] * len(columns)
     for l0 in range(n_levels):
         room = cap - int(sizes[0, l0])
         if room < 0:
             continue
-        # zeros, because level 0 seeds the running maximum
-        parents[:, :, :room + 1] = 0
-        layer[:, :room + 1] = gains[0, l0, :, None]
-        for n in range(1, grid_n):
-            for lo in range(0, room + 1, _BLOCK):
-                hi = min(lo + _BLOCK, room + 1)
-                top = nxt[:, lo:hi]
-                arg = parents[n - 1, :, lo:hi]
-                # level 0 is free (an Instance invariant), so it seeds every column
-                np.add(gains[n, 0, :, None], layer[0, lo:hi], out=top)
-                for cur in range(1, n_levels):
-                    b = int(sizes[n, cur])
-                    start = max(lo, b)
-                    if start >= hi:
-                        continue
-                    w = hi - start
-                    np.add(gains[n, cur, :, None], layer[cur, start - b:hi - b], out=cand[:, :w])
-                    np.greater(cand[:, :w], top[:, start - lo:], out=better[:, :w])
-                    np.copyto(top[:, start - lo:], cand[:, :w], where=better[:, :w])
-                    np.copyto(arg[:, start - lo:], cur, where=better[:, :w])
-            layer, nxt = nxt, layer
-
+        final = _forward(gains, sizes, l0, room, layers)[min(l0, rows - 1)]
         for k, c in enumerate(columns):
             c -= int(sizes[0, l0])
-            if c < 0:
-                continue
-            value = float(layer[l0, c])
-            # strictly greater, so an exact tie keeps the lowest l0, the documented tie-break
-            if best[k] is None or value > best[k].value:
-                levels = [l0] * grid_n
-                l = l0
-                for n in range(grid_n - 1, 0, -1):
-                    l = int(parents[n - 1, l, c])
-                    levels[n] = l
-                    c -= int(sizes[n, l])
-                best[k] = Selection(tuple(levels), value)
-    return best
+            if c >= 0 and final[c] > best[k]:
+                winner[k], best[k] = l0, final[c]
+
+    # pass 2: each winning pin again with parents, up to the largest budget it wins;
+    # the DP is causal in c, so the shorter run gives the same values
+    rooms = {}
+    for l0, c in zip(winner, columns):
+        rooms[l0] = max(rooms.get(l0, 0), c - int(sizes[0, l0]))
+    # parents[n - 1, l, j]: tile n's level given the pin at tile 0, l at tile n+1 and
+    # j of the room tile 0 leaves; one table, reused by each winning pin in turn
+    parents = np.empty((grid_n - 1, rows, max(rooms.values()) + 1), dtype=np.int16)
+    selections = [None] * len(columns)
+    for l0, room in rooms.items():
+        final = _forward(gains, sizes, l0, room, layers, parents=parents)[min(l0, rows - 1)]
+        for k in (k for k, w in enumerate(winner) if w == l0):
+            c = columns[k] - int(sizes[0, l0])
+            value = float(final[c])
+            levels = [l0] * grid_n
+            l = l0
+            for n in range(grid_n - 1, 0, -1):
+                l = int(parents[n - 1, min(l, rows - 1), c])
+                levels[n] = l
+                c -= int(sizes[n, l])
+            selections[k] = Selection(tuple(levels), value)
+    return selections
 
 
 def solve_dp(inst: Instance, capacities=None) -> SolveReport:

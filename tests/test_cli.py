@@ -28,10 +28,11 @@ from prefetch360 import (
     SolveReport,
     UtilityModel,
     eval_objective,
+    solve_mckp,
 )
 from prefetch360 import cli, scheduler, traces
 from prefetch360.cli import main
-from prefetch360.config import ORACLE_BATCH_LIMIT
+from prefetch360.config import ORACLE_BATCH_LIMIT, parse_instance
 from prefetch360.optimizer import SolveStats
 
 from conftest import SIDECARS, SIX_LEVEL_RATES, TOY_PROBS, trace_csv_bytes
@@ -152,6 +153,26 @@ class TestSolve:
         payload = json.loads(capsys.readouterr().out)
         assert payload["value"] == pytest.approx(1.0, abs=1e-12)
         assert payload["levels"] == [6] * 6
+
+    def test_signed_zero_value_prints_as_negative_zero(self, tmp_path):
+        # beta = 1 zeroes the expectation weight, so every tile's gain at level 0 beside
+        # level 0 is 0.0 * u(0) - w * 0.0 = -0.0 (u(0) = -f), and so is their sum
+        cfg = write_config(tmp_path, {"rates": [144, 625], "N": 6, "capacity": 1000, "beta": 1,
+                                      "probs": {"family": "point_mass", "angle_deg": 150}})
+        out = ('{\n  "capacity": 1000,\n  "levels": [\n    0,\n    0,\n    0,\n    0,\n    0,\n'
+               '    0\n  ],\n  "method": "dp",\n  "spend": 0,\n  "subproblems": 54054,\n'
+               '  "value": -0.0\n}\n')
+        assert run_main(["solve", "--config", cfg]) == (0, out, "")
+
+    def test_zero_probability_tiles_match_the_knapsack_form(self, tmp_path):
+        # the four unseen tiles' gains are 0.0 * u(0) = -0.0 with f = 10
+        config = {"rates": [144, 625], "N": 6, "capacity": 1000, "beta": 0, "f": 10,
+                  "probs": {"family": "explicit", "values": [0, 0, 0.5, 0.5, 0, 0]}}
+        code, out, err = run_main(["solve", "--config", write_config(tmp_path, config)])
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["levels"] == [0, 0, 2, 1, 0, 0]
+        assert payload["value"] == solve_mckp(parse_instance(config)).value
 
     def test_writes_to_file(self, tmp_path):
         cfg = write_config(tmp_path, TOY_SOLVE)
@@ -348,6 +369,11 @@ class TestExitCodes:
         ("schedule", one_pass_schedule(probs={"family": "explicit", "values": [0.5, 0.5]}),
          "passes[0].probs: probabilities length must match the tile count: "
          "need 3 tile probabilities, got shape (2,)"),
+        ("solve", {**TOY_SOLVE, "N": 1}, "N: need an integer tile count of at least 2 and at most 360"),
+        ("schedule", {**one_pass_schedule(), "N": 1},
+         "N: need an integer tile count of at least 2 and at most 360"),
+        ("sweep", {**SWEEP, "N": [6, 400]},
+         "N[1]: need an integer tile count of at least 2 and at most 360"),
     ], ids=["solve-utility", "sweep-utility", "solve-probs", "schedule-size-model",
             "schedule-pass", "schedule-pass-probs", "oracle-batch", "kinds-empty",
             "kinds-unknown", "kinds-list", "kinds-twice", "metrics-empty", "metrics-unknown",
@@ -355,7 +381,8 @@ class TestExitCodes:
             "sweep-large-screen-a-inf", "schedule-large-screen-b-inf",
             "oracle-large-screen-theta-inf", "solve-large-screen-b-1e308",
             "explicit-values-strings", "explicit-values-bools", "explicit-values-1e400",
-            "schedule-pass-1-sigma-string", "schedule-explicit-length"])
+            "schedule-pass-1-sigma-string", "schedule-explicit-length", "solve-N-1",
+            "schedule-N-1", "sweep-N-400"])
     def test_refused_config_prints_the_exact_message(self, tmp_path, command, config, message):
         cfg = write_config(tmp_path, config)
         out = str(tmp_path / "out")

@@ -2,6 +2,7 @@
 
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -169,7 +170,9 @@ class TestCapacityGrid:
 
     @pytest.mark.parametrize("beta", [0.0, 0.1])
     def test_dp_holds_one_pinned_levels_table_at_a_time(self, ladder6, beta):
-        n_tiles, cap, width = 24, 8000, ladder6.n_levels + 1
+        n_tiles, cap = 24, 8000
+        # one conditioned row at beta = 0, where every row is the same
+        width = 1 if beta == 0.0 else ladder6.n_levels + 1
         grid = DirectionGrid(n_tiles)
         inst = Instance(grid, ladder6, UtilityModel("log"), wrapped_gaussian(30.0, grid), cap, beta)
         tracemalloc.start()
@@ -220,6 +223,65 @@ class TestBlocking:
         assert abs(dp.value - exhaustive.value) <= ORACLE_TOL
         if beta == 0.0:
             assert dp.value == solve_mckp(inst).value
+
+
+class TestTwoPasses:
+    def test_one_row_is_every_dense_row_at_beta_zero(self, ladder6, grid6):
+        cap = 2 * optimizer._BLOCK + 500
+        probs = np.array([0.0, 0.1, 0.4, 0.3, 0.2, 0.0])
+        inst = Instance(grid6, ladder6, UtilityModel("log"), probs, cap, 0.0)
+        gains, sizes, width = optimizer._gains(inst), inst.size_table, ladder6.n_levels + 1
+        for l0 in (0, 3, width - 1):
+            room = cap - int(sizes[0, l0])
+            tables = (np.empty((5, width, room + 1), dtype=np.int16),
+                      np.empty((5, 1, room + 1), dtype=np.int16))
+            for dense_parents, one_parents in ((None, None), tables):
+                dense = optimizer._forward(gains, sizes, l0, room, np.empty((2, width, cap + 1)),
+                                           parents=dense_parents)
+                one = optimizer._forward(gains[:, :, :1], sizes, l0, room,
+                                         np.empty((2, 1, cap + 1)), parents=one_parents)
+                for row in dense[:, :room + 1]:
+                    assert np.array_equal(row, one[0, :room + 1])
+            # the backtrack reads row 0 for every conditioned level
+            for row in range(width):
+                assert np.array_equal(dense_parents[:, row], one_parents[:, 0])
+
+    @pytest.mark.parametrize("beta", [0.0, 0.1])
+    def test_parents_only_for_the_winning_pins(self, ladder6, grid6, beta):
+        inst = Instance(grid6, ladder6, UtilityModel("log"), wrapped_gaussian(30.0, grid6),
+                        12_000, beta)
+        sizes = inst.size_table
+        paying = sum(1 for b in sizes[0] if b <= inst.capacity)
+        for caps in ([], [0, 300, 700, 1500, 3000, 6000, 9000, 12_000]):
+            with mock.patch.object(optimizer, "_forward", wraps=optimizer._forward) as spy:
+                report = solve_dp(inst, caps)
+            reruns = [call for call in spy.call_args_list if call.kwargs.get("parents") is not None]
+            assert len(spy.call_args_list) == paying + len(reruns)
+            # each rerun stops at the room of the largest budget its pin wins
+            won = {}
+            budgets = [inst.capacity, *caps]
+            for cap, selection in zip(budgets, [report.selection, *report.selections]):
+                l0 = selection.levels[0]
+                won[l0] = max(won.get(l0, 0), cap - int(sizes[0, l0]))
+            assert {call.args[2]: call.args[3] for call in reruns} == won
+            assert len(reruns) == len(won) <= ladder6.n_levels + 1
+            if caps:
+                assert len(won) > 1
+            else:
+                assert len(reruns) == 1
+
+    @settings(deadline=None, max_examples=150)
+    @given(seed=st.integers(0, 2**32 - 1),
+           shares=st.lists(st.integers(0, 1000), min_size=1, max_size=6))
+    def test_every_budget_matches_brute_force_on_exact_arithmetic(self, seed, shares):
+        # dyadic draws make ties exact, so pass 1's choice among tied pins shows in the levels
+        inst = dyadic_instance(np.random.default_rng(seed), max_tiles=5, max_levels=3)
+        caps = [inst.capacity * share // 1000 for share in shares]
+        report = solve_dp(inst, caps)
+        for cap, selection in zip(caps, report.selections, strict=True):
+            exhaustive = brute_force(replace(inst, capacity=cap))
+            assert selection.levels == exhaustive.selection.levels
+            assert selection.value == exhaustive.value
 
 
 class TestStructuralProperties:
