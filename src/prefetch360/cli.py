@@ -256,8 +256,9 @@ def cmd_oracle(args) -> int:
     max_gap = 0.0
     dp = exhaustive = None
     for name, inst in checks:
-        dp = solve_dp(inst)
+        # brute force refuses an instance too big to enumerate before the DP runs
         exhaustive = brute_force(inst)
+        dp = solve_dp(inst)
         gap = abs(dp.value - exhaustive.value)
         max_gap = max(max_gap, gap)
         if gap > ORACLE_TOL:

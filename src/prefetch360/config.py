@@ -3,12 +3,15 @@
 Instance configs use flat keys (rates, delta, f, beta, N, capacity) plus a
 ``utility`` block with kind-specific parameters and a ``probs`` block naming
 a probability family.  Sweep and schedule configs reuse the same vocabulary.
-Errors raise ValueError with the offending key in the message.
+Errors raise ValueError naming the offending key: a reader refuses without a
+prefix, and the caller that knows the block's key names it once, so ``lag_s: ...``
+reads ``probs: lag_s: ...``, ``passes[i].probs: lag_s: ...`` or ``family: lag_s: ...``.
 """
 
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,7 +27,7 @@ from .model import (
     _check_beta,
     build_utility_table,
 )
-from .optimizer import _check_parents_table
+from .optimizer import _check_dp_bytes
 from .scheduler import PrefetchPass, PrefetchPlan, SizeModel
 from .synth import COHORT, EXPLORE_SPLIT_S, _sample_count
 from .traces import CATEGORIES, GRID_LIMIT, parse_trace
@@ -70,6 +73,15 @@ def load_json(path) -> dict:
     if not isinstance(loaded, dict):
         raise ValueError(f"{path}: top level must be a JSON object")
     return loaded
+
+
+@contextmanager
+def _named(key: str):
+    """Name the block a refusal raised inside this context belongs to."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
 
 
 def _require(cfg: dict, key: str):
@@ -134,10 +146,8 @@ def _each(cfg: dict, key: str, check, default=None) -> list:
 def _grid(cfg: dict, key: str) -> DirectionGrid:
     """The tile grid of an integer tile count; a refused count names its key."""
     n_tiles = _int(cfg, key)
-    try:
+    with _named(key):
         return DirectionGrid(n_tiles)
-    except ValueError as exc:
-        raise ValueError(f"{key}: {exc}") from None
 
 
 def parse_ladder(cfg: dict) -> QualityLadder:
@@ -153,14 +163,12 @@ def parse_utility(cfg: dict, ladder: QualityLadder) -> UtilityModel:
     """The ``utility`` block, checked with its normalized table on ``ladder``."""
     block = _object(cfg.get("utility", {"kind": "linear"}), "utility")
     kind = block.get("kind", "linear")
-    try:
+    with _named("utility"):
         model = UtilityModel(kind,
                              a=_number(block, "a", 2.0),
                              b=_number(block, "b", 10.0),
                              theta_kbps=_number(block, "theta", 200.0))
         build_utility_table(ladder, model)
-    except ValueError as exc:
-        raise ValueError(f"utility: {exc}") from None
     return model
 
 
@@ -182,12 +190,12 @@ def load_traces(traces_dir, category: str | None = None) -> list:
 
 
 def build_probs(spec: dict, grid: DirectionGrid, traces_dir=None) -> np.ndarray:
-    """Build a probability vector from a ``probs`` config block."""
-    family = _object(spec, "probs").get("family")
+    """A probability vector from a ``probs`` block; its refusals leave the block unnamed."""
+    family = spec.get("family")
     lag = _number(spec, "lag_s", 0.0)
     # inf is the lifetime distribution of the empirical family
     if not lag >= 0:
-        raise ValueError("probs.lag_s: must be nonnegative")
+        raise ValueError("lag_s: must be nonnegative")
     if family == "uniform":
         return uniform(grid)
     if family == "point_mass":
@@ -197,32 +205,28 @@ def build_probs(spec: dict, grid: DirectionGrid, traces_dir=None) -> np.ndarray:
     if family == "wrapped_gaussian_sqrt":
         sigma0 = _number(spec, "sigma0_deg", 25.0)
         if lag <= 0:
-            raise ValueError("probs: wrapped_gaussian_sqrt needs lag_s > 0")
+            raise ValueError("wrapped_gaussian_sqrt needs lag_s > 0")
         # Python floats overflow to inf without a warning; wrapped_gaussian refuses it
         return wrapped_gaussian(sigma0 * math.sqrt(lag), grid)
     if family == "explicit":
         if not isinstance(_require(spec, "values"), list):
-            raise ValueError("probs.values: expected a list")
-        values = _each(spec, "values", _number)
-        try:
-            return _as_prob_array(values, grid.n_tiles)
-        except ValueError as exc:
-            raise ValueError(f"probs: {exc}") from None
+            raise ValueError("values: expected a list")
+        return _as_prob_array(_each(spec, "values", _number), grid.n_tiles)
     if family == "convolved":
         return _convolved(spec, grid, _int(spec, "steps", 1))[-1]
     if family == "empirical":
         if lag <= 0:
-            raise ValueError("probs: empirical family needs lag_s > 0")
+            raise ValueError("empirical family needs lag_s > 0")
         traces = load_traces(traces_dir, spec.get("category"))
         masses = empirical_yaw_change(traces, lag, _number(spec, "stride_s", 0.1))
         return discretize(masses, grid)
-    raise ValueError(f"probs: unknown family {family!r}")
+    raise ValueError(f"unknown family {family!r}")
 
 
 def _convolved(spec: dict, grid: DirectionGrid, steps: int) -> list:
     """The convolved family after 0..steps smoothings, each from the one before."""
     if not 0 <= steps <= MAX_STEPS:
-        raise ValueError(f"probs.steps: must be nonnegative and at most {MAX_STEPS}")
+        raise ValueError(f"steps: must be nonnegative and at most {MAX_STEPS}")
     vectors = [wrapped_gaussian(_number(spec, "base_sigma_deg", 15.0), grid)]
     kernel = wrapped_gaussian(_number(spec, "kernel_sigma_deg", 15.0), grid)
     for _ in range(steps):
@@ -237,9 +241,10 @@ def parse_instance(cfg: dict, traces_dir=None) -> Instance:
     capacity, beta = _int(cfg, "capacity"), _number(cfg, "beta", 0.0)
     # every scalar, and the DP table they size, is checked before a trace is parsed
     _check_beta(beta)
-    _check_parents_table(ladder.n_levels + 1, grid.n_tiles,
-                         int(_as_nonneg_ints(capacity, "capacity")))
-    probs = build_probs(_require(cfg, "probs"), grid, traces_dir)
+    _check_dp_bytes(ladder.n_levels + 1, grid.n_tiles, int(_as_nonneg_ints(capacity, "capacity")))
+    block = _object(_require(cfg, "probs"), "probs")
+    with _named("probs"):
+        probs = build_probs(block, grid, traces_dir)
     return Instance(grid, ladder, utility, probs, capacity, beta)
 
 
@@ -247,7 +252,7 @@ def parse_schedule(cfg: dict, traces_dir=None):
     """Check a whole schedule config, before any solve.
 
     Returns (plan, ladder, utility, beta, size_model).  The scalars, the lead
-    order and the DP parents table at the largest budget are checked on a
+    order and the DP tables at the largest budget are checked on a
     plan of flat vectors before any pass's own vector is built on the grid.
     """
     ladder = parse_ladder(cfg)
@@ -255,11 +260,9 @@ def parse_schedule(cfg: dict, traces_dir=None):
     grid = _grid(cfg, "N")
     beta = _number(cfg, "beta", 0.0)
     sm_block = _object(cfg.get("size_model", {}), "size_model")
-    try:
+    with _named("size_model"):
         size_model = SizeModel(sm_block.get("mode", "svc_ideal"),
                                _number(sm_block, "overhead", 0.0))
-    except ValueError as exc:
-        raise ValueError(f"size_model: {exc}") from None
     raw_passes = _require(cfg, "passes")
     if not isinstance(raw_passes, list) or not raw_passes:
         raise ValueError("passes: expected a non-empty list")
@@ -268,22 +271,15 @@ def parse_schedule(cfg: dict, traces_dir=None):
     for i, block in enumerate(raw_passes):
         lead = _number(_object(block, f"passes[{i}]"), "lead_s")
         _object(_require(block, "probs"), f"passes[{i}].probs")
-        try:
+        with _named(f"passes[{i}]"):
             passes.append(PrefetchPass(lead, _int(block, "budget"), flat))
-        except ValueError as exc:
-            raise ValueError(f"passes[{i}]: {exc}") from None
     _check_beta(beta)
     PrefetchPlan(tuple(passes))
-    _check_parents_table(ladder.n_levels + 1, grid.n_tiles, max(p.budget for p in passes))
+    _check_dp_bytes(ladder.n_levels + 1, grid.n_tiles, max(p.budget for p in passes))
     for i, block in enumerate(raw_passes):
-        try:
+        with _named(f"passes[{i}].probs"):
             passes[i] = replace(passes[i], probs=build_probs(
                 {"lag_s": passes[i].lead_time_s, **block["probs"]}, grid, traces_dir))
-        except ValueError as exc:
-            # build_probs's own refusals already name the block; a trace file's start with its path
-            named = str(exc).startswith(("probs: ", "probs.lag_s: ", "probs.values: ", "probs.steps: "))
-            where = "" if named else "probs: "
-            raise ValueError(f"passes[{i}].{where}{exc}") from None
     return PrefetchPlan(tuple(passes)), ladder, utility, beta, size_model
 
 
@@ -325,16 +321,17 @@ def parse_sweep(cfg: dict, traces_dir=None):
     grids = []
     for grid in _each(cfg, "N", _grid):
         if caps:
-            _check_parents_table(ladders[0][1].n_levels + 1, grid.n_tiles, max(caps))
+            _check_dp_bytes(ladders[0][1].n_levels + 1, grid.n_tiles, max(caps))
         grids.append(grid)
-    # every grid and parents table is checked before the first vector, so a refused
+    # every grid and DP table size is checked before the first vector, so a refused
     # sweep parses no trace
     spec = {**family, "family": family["kind"]}
-    if family["kind"] == "convolved":
-        vectors = [_convolved(spec, grid, len(lags) - 1) for grid in grids]
-    else:
-        vectors = [[build_probs({**spec, "lag_s": lag}, grid, traces_dir) for lag in lags]
-                   for grid in grids]
+    with _named("family"):
+        if family["kind"] == "convolved":
+            vectors = [_convolved(spec, grid, len(lags) - 1) for grid in grids]
+        else:
+            vectors = [[build_probs({**spec, "lag_s": lag}, grid, traces_dir) for lag in lags]
+                       for grid in grids]
     return label, caps, betas, lags, ladders, utilities, list(zip(grids, vectors))
 
 
@@ -346,10 +343,8 @@ def parse_gen(cfg: dict) -> dict:
         raise ValueError("count_per_kind: must be at least 1")
     duration = _number(cfg, "duration_s", 60.0)
     rate = _number(cfg, "rate_hz", 50.0)
-    try:
+    with _named("duration_s and rate_hz"):
         samples = _sample_count(duration, rate)
-    except ValueError as exc:
-        raise ValueError(f"duration_s and rate_hz: {exc}") from None
     if "explore" in kinds and not duration > EXPLORE_SPLIT_S:
         raise ValueError(f"duration_s: the explore kind needs more than {EXPLORE_SPLIT_S:g} s")
     if count * len(kinds) * samples > GRID_LIMIT:

@@ -60,10 +60,10 @@ __all__ = [
 
 BRUTE_FORCE_LIMIT = 10_000_000
 
-# bytes of the int16 argmax tables of all L+1 pins together; pass 2 holds one
-# winning pin's table (one row at beta = 0), so this bounds work more than memory;
-# admits N=24, six levels, C=400k (0.90 GB, of which at most 0.13 GB is held)
-PARENTS_TABLE_LIMIT = 1 << 30
+# bytes of the int16 argmax tables of all L+1 pins plus the two float64 value layers,
+# a bound on work as well as memory (pass 2 holds one pin's table); admits N=24, six
+# levels, C=400k (0.95 GB, of which at most 0.17 GB is held)
+DP_BYTES_LIMIT = 1 << 30
 
 _CHUNK = 1 << 18
 
@@ -103,17 +103,16 @@ def _gains(inst: Instance) -> np.ndarray:
             - edge_w[:, None, None] * np.abs(u[:, :, None] - np.roll(u, -1, axis=0)[:, None, :]))
 
 
-def _check_parents_table(n_levels: int, n_tiles: int, capacity: int) -> None:
-    """Refuse a DP whose int16 parents tables, over all pins, exceed PARENTS_TABLE_LIMIT.
+def _check_dp_bytes(n_levels: int, n_tiles: int, capacity: int) -> None:
+    """Refuse a DP whose parents tables over all pins plus value layers exceed DP_BYTES_LIMIT.
 
-    n_levels counts level 0.  Each pin's table covers tiles 1..N-1: tile 0's
-    level is the pinned l0.  The bytes counted here, n_levels tables at the full
-    C, bound the work of a solve from above: pass 2 holds one table, sized for
-    the winning pins' budgets, with one row at beta = 0.
+    n_levels counts level 0.  Each pin's int16 table covers tiles 1..N-1 (tile 0 is
+    pinned at l0); the two float64 layers hold n_levels rows.  The n_levels tables at
+    the full C bound a solve's work; pass 2 holds one, for the budgets its pin wins.
     """
-    table_bytes = n_levels * n_levels * (n_tiles - 1) * (capacity + 1) * 2
-    if table_bytes > PARENTS_TABLE_LIMIT:
-        raise ValueError(f"DP parents table needs {table_bytes} bytes, over {PARENTS_TABLE_LIMIT}")
+    dp_bytes = n_levels * (capacity + 1) * (2 * n_levels * (n_tiles - 1) + 16)
+    if dp_bytes > DP_BYTES_LIMIT:
+        raise ValueError(f"DP tables and layers need {dp_bytes} bytes, over {DP_BYTES_LIMIT}")
 
 
 def _forward(gains, sizes, l0, room, layers, parents=None):
@@ -164,7 +163,7 @@ def _dp_run(inst: Instance, columns):
     n_levels = sizes.shape[1]
     cap = inst.capacity
 
-    _check_parents_table(n_levels, grid_n, cap)
+    _check_dp_bytes(n_levels, grid_n, cap)
     gains = _gains(inst)
     if inst.beta == 0.0:
         # x - 0.0 * y == x, so every conditioned row is the same: carry one

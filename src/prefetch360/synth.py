@@ -30,11 +30,14 @@ __all__ = [
 # when an explore-then-fixate viewer stops exploring
 EXPLORE_SPLIT_S = 20.0
 
+# longest generated trace (11.6 days), short enough that every generator's yaw stays finite
+MAX_DURATION_S = 10**6
+
 
 def _sample_count(duration_s: float, rate_hz: float) -> int:
     """Samples in a generated trace: from 2 up to GRID_LIMIT."""
-    if not (duration_s > 0 and rate_hz > 0):
-        raise ValueError("duration and rate must be positive")
+    if not (0 < duration_s <= MAX_DURATION_S and rate_hz > 0):
+        raise ValueError(f"duration must lie in (0, {MAX_DURATION_S}] s and rate must be positive")
     # bounded as a float, which may be inf, before it becomes a sample count
     if not duration_s * rate_hz < GRID_LIMIT:
         raise ValueError(f"duration times rate must stay below {GRID_LIMIT} samples per trace")

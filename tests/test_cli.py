@@ -10,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -274,13 +275,13 @@ class TestExitCodes:
         ("sweep", {**SWEEP, "beta": [True]}, "beta"),
         ("sweep", {**SWEEP, "lags": [math.nan]}, "lags"),
         ("solve", {**TOY_SOLVE, "rates": [None]}, "rates"),
-        ("solve", {**TOY_SOLVE, "probs": {"family": "uniform", "lag_s": -1}}, "probs.lag_s"),
-        ("solve", {**TOY_SOLVE, "probs": {"family": "uniform", "lag_s": math.nan}}, "probs.lag_s"),
+        ("solve", {**TOY_SOLVE, "probs": {"family": "uniform", "lag_s": -1}}, "probs: lag_s"),
+        ("solve", {**TOY_SOLVE, "probs": {"family": "uniform", "lag_s": math.nan}}, "probs: lag_s"),
         ("solve", {**TOY_SOLVE, "capacity": 2**63}, "capacity"),
         ("solve", {**TOY_SOLVE, "capacity": 10**19}, "capacity"),
         ("solve", {**TOY_SOLVE, "capacity": 2**64 - 1}, "capacity"),
-        ("solve", {**TOY_SOLVE, "probs": {"family": "convolved", "steps": 1001}}, "probs.steps"),
-        ("solve", {**TOY_SOLVE, "probs": {"family": "convolved", "steps": 10**18}}, "probs.steps"),
+        ("solve", {**TOY_SOLVE, "probs": {"family": "convolved", "steps": 1001}}, "probs: steps"),
+        ("solve", {**TOY_SOLVE, "probs": {"family": "convolved", "steps": 10**18}}, "probs: steps"),
         ("schedule", one_pass_schedule(probs=5), "probs"),
         ("schedule", one_pass_schedule(budget=2**63), "passes[0]"),
         ("schedule", one_pass_schedule(budget=10**19), "passes[0]"),
@@ -356,11 +357,11 @@ class TestExitCodes:
                    "utility": {"kind": "large_screen", "a": 1.5, "b": 1e308}},
          "utility: normalized utilities must be finite"),
         ("solve", {**TOY_SOLVE, "probs": {"family": "explicit", "values": ["0.5", "0.5", "0"]}},
-         "values[0]: expected a number"),
+         "probs: values[0]: expected a number"),
         ("solve", {**TOY_SOLVE, "probs": {"family": "explicit", "values": [True, False, False]}},
-         "values[0]: expected a number"),
+         "probs: values[0]: expected a number"),
         ("solve", {**TOY_SOLVE, "probs": {"family": "explicit", "values": [10**400, 0, 0]}},
-         "values[0]: number out of range"),
+         "probs: values[0]: number out of range"),
         ("schedule", {**PLAN, "passes": [
             PLAN["passes"][0],
             {**PLAN["passes"][1], "probs": {"family": "wrapped_gaussian", "sigma_deg": "30"}},
@@ -388,6 +389,45 @@ class TestExitCodes:
         out = str(tmp_path / "out")
         assert run_main([command, "--config", cfg, "--out", out]) == (1, "", f"error: {message}\n")
         assert not Path(out).exists()
+
+    SIGMA_0 = {"family": "wrapped_gaussian", "sigma_deg": 0}
+    NO_SUCH_FAMILY = {"family": "nope"}
+    VALUES_NOT_A_LIST = {"family": "explicit", "values": 0.5}
+    LAG_NEGATIVE = {"family": "uniform", "lag_s": -1}
+
+    @staticmethod
+    def as_family(block):
+        """A sweep's ``family`` block with the same keys as a ``probs`` block."""
+        return {"kind": block["family"], **{k: v for k, v in block.items() if k != "family"}}
+
+    # a sweep sets each vector's lag_s from its lags, so LAG_NEGATIVE has no sweep case
+    @pytest.mark.parametrize("command, config, message", [
+        ("solve", {**TOY_SOLVE, "probs": SIGMA_0},
+         "probs: sigma must be positive and at most 100000 degrees"),
+        ("schedule", one_pass_schedule(probs=SIGMA_0),
+         "passes[0].probs: sigma must be positive and at most 100000 degrees"),
+        ("sweep", {**SWEEP, "family": as_family(SIGMA_0)},
+         "family: sigma must be positive and at most 100000 degrees"),
+        ("solve", {**TOY_SOLVE, "probs": NO_SUCH_FAMILY}, "probs: unknown family 'nope'"),
+        ("schedule", one_pass_schedule(probs=NO_SUCH_FAMILY),
+         "passes[0].probs: unknown family 'nope'"),
+        ("sweep", {**SWEEP, "family": as_family(NO_SUCH_FAMILY)}, "family: unknown family 'nope'"),
+        ("solve", {**TOY_SOLVE, "probs": VALUES_NOT_A_LIST}, "probs: values: expected a list"),
+        ("schedule", one_pass_schedule(probs=VALUES_NOT_A_LIST),
+         "passes[0].probs: values: expected a list"),
+        ("sweep", {**SWEEP, "family": as_family(VALUES_NOT_A_LIST)},
+         "family: values: expected a list"),
+        ("solve", {**TOY_SOLVE, "probs": LAG_NEGATIVE}, "probs: lag_s: must be nonnegative"),
+        ("schedule", one_pass_schedule(probs=LAG_NEGATIVE),
+         "passes[0].probs: lag_s: must be nonnegative"),
+    ], ids=["solve-sigma-0", "schedule-sigma-0", "sweep-sigma-0", "solve-unknown-family",
+            "schedule-unknown-family", "sweep-unknown-family", "solve-values-not-a-list",
+            "schedule-values-not-a-list", "sweep-values-not-a-list", "solve-lag-negative",
+            "schedule-lag-negative"])
+    def test_probability_block_is_named_once_by_its_command(self, tmp_path, command, config,
+                                                            message):
+        cfg = write_config(tmp_path, config)
+        assert run_main([command, "--config", cfg]) == (1, "", f"error: {message}\n")
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command, n_tiles", [
@@ -422,13 +462,28 @@ class TestExitCodes:
                                 "print('scipy' in sys.modules, 'numpy.random' in sys.modules)")
         assert proc.returncode == 0 and proc.stdout == "False False\n"
 
-    def test_oversized_dp_table_is_refused_before_allocation(self, tmp_path, capsys):
-        # the int16 parents table would need 2.25 TB
+    def test_oversized_dp_table_is_refused_before_allocation(self, tmp_path):
+        # the int16 parents tables and value layers would need 2.37 TB
         cfg = write_config(tmp_path, {"rates": list(SIX_LEVEL_RATES), "N": 24,
                                       "capacity": 10**9, "probs": {"family": "uniform"}})
-        assert main(["solve", "--config", cfg]) == 1
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:") and "parents table" in lines[0]
+        assert run_main(["solve", "--config", cfg]) == (
+            1, "", "error: DP tables and layers need 2366000002366 bytes, over 1073741824\n")
+
+    @pytest.mark.parametrize("beta", [0.0, 0.1])
+    def test_dp_value_layers_count_against_the_bound(self, tmp_path, beta):
+        # one rate at N=2: the int16 tables of both pins fill exactly 1 GiB, and the two
+        # float64 value layers (4 GiB at beta > 0, 2 GiB at beta = 0) were not counted
+        cfg = write_config(tmp_path, {"rates": [100], "N": 2, "capacity": 134217727,
+                                      "beta": beta, "probs": {"family": "uniform"}})
+        tracemalloc.start()
+        try:
+            result = run_main(["solve", "--config", cfg])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == (
+            1, "", "error: DP tables and layers need 5368709120 bytes, over 1073741824\n")
+        assert peak < 1 << 20
 
     def test_internal_failure_returns_2(self, tmp_path, monkeypatch, capsys):
         def explode(inst):
@@ -455,13 +510,14 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, config, message", [
         ("solve", {**EMPIRICAL_SOLVE, "capacity": -1}, "capacity must be a nonnegative integer"),
         ("solve", {**EMPIRICAL_SOLVE, "beta": 7}, "beta must lie in [0, 1]"),
-        ("solve", {**EMPIRICAL_SOLVE, "N": 24, "capacity": 10**8}, "DP parents table needs"),
+        ("solve", {**EMPIRICAL_SOLVE, "N": 24, "capacity": 10**8},
+         "DP tables and layers need 46200000462 bytes, over 1073741824"),
         ("schedule", empirical_schedule(beta=7), "beta must lie in [0, 1]"),
         ("schedule", empirical_schedule(leads=(1, 5)), "lead times must strictly decrease"),
         ("schedule", empirical_schedule(budgets=(100, -1)),
          "passes[1]: budget must be a nonnegative integer"),
         ("sweep", {**EMPIRICAL_SWEEP, "N": [6, 24], "capacity": [500000]},
-         "DP parents table needs"),
+         "DP tables and layers need 1183002366 bytes, over 1073741824"),
         ("sweep", {**EMPIRICAL_SWEEP, "N": [6, 361]}, "at most 360"),
         ("sweep", {**EMPIRICAL_SWEEP, "f": [0, 1],
                    "utility": [{"kind": "linear"}, {"kind": "large_screen", "a": 1e300}]},
@@ -611,7 +667,8 @@ class TestSweep:
         ({"f": [1, -1]}, "stall penalty"),
         ({"beta": [0.1, 7]}, "beta must lie in [0, 1]"),
         ({"capacity": [100, -1]}, "capacity"),
-        ({"N": [2, 24], "capacity": [500000]}, "parents table"),
+        ({"N": [2, 24], "capacity": [500000]},
+         "DP tables and layers need 1183002366 bytes, over 1073741824"),
         ({"N": [2, 6], "family": {"kind": "explicit", "values": [0.5, 0.5]}},
          "need 6 tile probabilities"),
     ], ids=["N-361", "f-negative", "beta-7", "capacity-negative", "parents-table",
@@ -695,7 +752,8 @@ class TestSchedule:
     @pytest.mark.parametrize("n_tiles, passes, message", [
         (6, [(5, 300, [0.5, 0.5])], "need 6 tile probabilities"),
         (3, [(5, 300, [0.5, 0.5]), (1, 300, list(TOY_PROBS))], "need 3 tile probabilities"),
-        (6, [(5, 300, [1 / 6] * 6), (1, 10**9, [1 / 6] * 6)], "DP parents table needs"),
+        (6, [(5, 300, [1 / 6] * 6), (1, 10**9, [1 / 6] * 6)],
+         "DP tables and layers need 138000000138 bytes, over 1073741824"),
     ], ids=["explicit-short-for-N", "mixed-lengths", "parents-table"])
     def test_refused_config_runs_no_dp(self, tmp_path, n_tiles, passes, message):
         # the whole schedule is checked before the first pass solves
@@ -742,6 +800,16 @@ class TestOracle:
     def test_bad_batch_count(self, tmp_path):
         cfg = write_config(tmp_path, {"batch": {"count": 0}})
         assert main(["oracle", "--config", cfg]) == 1
+
+    def test_instance_too_big_for_brute_force_runs_no_dp(self, tmp_path):
+        # 7^9 assignments are over the brute-force limit, so the DP would be wasted work
+        cfg = write_config(tmp_path, {"rates": list(SIX_LEVEL_RATES), "N": 9,
+                                      "capacity": 60000, "probs": {"family": "uniform"}})
+        with mock.patch.object(cli, "solve_dp", wraps=cli.solve_dp) as solve:
+            result = run_main(["oracle", "--config", cfg])
+        assert result == (
+            1, "", "error: 40353607 assignments exceed the brute-force limit 10000000\n")
+        assert solve.call_count == 0
 
     @settings(deadline=None, max_examples=100)
     @given(data=st.data())
@@ -801,10 +869,12 @@ class TestGenTraces:
         cfg = write_config(tmp_path, {"kinds": ["constant"]})
         assert main(["gen-traces", "--config", cfg]) == 1
 
-    @pytest.mark.parametrize("duration, rate", [(1e12, 50), (1e300, 1e300)],
-                             ids=["364-TiB", "inf-samples"])
-    def test_oversized_trace_is_refused_before_allocation(self, tmp_path, duration, rate):
-        cfg = write_config(tmp_path, {"kinds": ["constant"], "count_per_kind": 1,
+    # two samples of 1e308 s: a rotation's yaw, rate_dps * t, would overflow to inf
+    @pytest.mark.parametrize("duration, rate, kinds", [
+        (1e12, 50, ["constant"]), (1e300, 1e300, ["constant"]), (1e308, 1e-308, ["rotation"]),
+    ], ids=["364-TiB", "inf-samples", "rotation-overflow"])
+    def test_oversized_trace_is_refused_before_allocation(self, tmp_path, duration, rate, kinds):
+        cfg = write_config(tmp_path, {"kinds": kinds, "count_per_kind": 1,
                                       "duration_s": duration, "rate_hz": rate})
         out_dir = tmp_path / "traces"
         code, out, err = run_main(["gen-traces", "--config", cfg, "--out", str(out_dir)])

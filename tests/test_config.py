@@ -239,6 +239,13 @@ class TestParseGenAndAnalyze:
         with pytest.raises(ValueError, match="count_per_kind"):
             parse_gen({**spec, "count_per_kind": 11})
 
+    def test_gen_bounds_the_duration(self):
+        # at 1 mHz a million seconds is 1001 samples per trace
+        assert parse_gen({"duration_s": 10**6, "rate_hz": 1e-3})["duration_s"] == 1e6
+        with pytest.raises(ValueError, match=r"^duration_s and rate_hz: duration must lie in "
+                                             r"\(0, 1000000\] s and rate must be positive$"):
+            parse_gen({"duration_s": 10**6 + 1, "rate_hz": 1e-3})
+
     def test_gen_explore_needs_time_past_its_split(self):
         assert parse_gen({"kinds": ["explore"], "duration_s": 20.5})["kinds"] == ["explore"]
         with pytest.raises(ValueError, match="duration_s"):

@@ -157,15 +157,17 @@ class TestCapacityGrid:
     def test_dp_refuses_parents_tables_over_the_limit(self, ladder6, grid6, monkeypatch):
         from prefetch360 import optimizer
 
-        # the limit admits N=24, six levels, C=400k (four-second chunks)
-        assert 7 * 7 * 23 * 400_001 * 2 <= optimizer.PARENTS_TABLE_LIMIT
+        # the limit admits N=24, six levels, C=400k (four-second chunks): 0.95 GB
+        assert 7 * 400_001 * (2 * 7 * 23 + 16) == 946_402_366 <= optimizer.DP_BYTES_LIMIT
         inst = Instance(grid6, ladder6, UtilityModel("linear"), np.full(6, 1 / 6), 1000, 0.0)
-        # tiles 1..5 only: tile 0's level is the pinned l0
-        table_bytes = 7 * 7 * 5 * 1001 * 2
-        monkeypatch.setattr(optimizer, "PARENTS_TABLE_LIMIT", table_bytes)
+        # 7 int16 tables of 7 rows over tiles 1..5 only (tile 0's level is the pinned l0),
+        # and two float64 layers of 7 rows
+        dp_bytes = 7 * 7 * 5 * 1001 * 2 + 2 * 7 * 1001 * 8
+        monkeypatch.setattr(optimizer, "DP_BYTES_LIMIT", dp_bytes)
         assert solve_dp(inst).selection.levels
-        monkeypatch.setattr(optimizer, "PARENTS_TABLE_LIMIT", table_bytes - 1)
-        with pytest.raises(ValueError, match="parents table"):
+        monkeypatch.setattr(optimizer, "DP_BYTES_LIMIT", dp_bytes - 1)
+        with pytest.raises(ValueError, match=rf"^DP tables and layers need {dp_bytes} bytes, "
+                                             rf"over {dp_bytes - 1}$"):
             solve_dp(inst)
 
     @pytest.mark.parametrize("beta", [0.0, 0.1])
