@@ -269,10 +269,11 @@ def parse_schedule(cfg: dict, traces_dir=None):
     flat = np.full(grid.n_tiles, 1.0 / grid.n_tiles)
     passes = []
     for i, block in enumerate(raw_passes):
-        lead = _number(_object(block, f"passes[{i}]"), "lead_s")
-        _object(_require(block, "probs"), f"passes[{i}].probs")
+        _object(block, f"passes[{i}]")
         with _named(f"passes[{i}]"):
+            lead, probs = _number(block, "lead_s"), _require(block, "probs")
             passes.append(PrefetchPass(lead, _int(block, "budget"), flat))
+        _object(probs, f"passes[{i}].probs")
     _check_beta(beta)
     PrefetchPlan(tuple(passes))
     _check_dp_bytes(ladder.n_levels + 1, grid.n_tiles, max(p.budget for p in passes))

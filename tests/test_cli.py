@@ -94,6 +94,13 @@ def one_pass_schedule(**keys):
             "passes": [{"lead_s": 5, "budget": 10, "probs": {"family": "uniform"}, **keys}]}
 
 
+def two_pass_schedule(second):
+    """One valid pass, then the given second pass."""
+    cfg = one_pass_schedule()
+    cfg["passes"].append(second)
+    return cfg
+
+
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -375,6 +382,13 @@ class TestExitCodes:
          "N: need an integer tile count of at least 2 and at most 360"),
         ("sweep", {**SWEEP, "N": [6, 400]},
          "N[1]: need an integer tile count of at least 2 and at most 360"),
+        ("schedule", two_pass_schedule({"lead_s": 1, "budget": 10}),
+         "passes[1]: missing required key 'probs'"),
+        ("schedule", two_pass_schedule({"budget": 10, "probs": {"family": "uniform"}}),
+         "passes[1]: missing required key 'lead_s'"),
+        ("schedule", two_pass_schedule({"lead_s": "1", "budget": 10,
+                                        "probs": {"family": "uniform"}}),
+         "passes[1]: lead_s: expected a number"),
     ], ids=["solve-utility", "sweep-utility", "solve-probs", "schedule-size-model",
             "schedule-pass", "schedule-pass-probs", "oracle-batch", "kinds-empty",
             "kinds-unknown", "kinds-list", "kinds-twice", "metrics-empty", "metrics-unknown",
@@ -383,7 +397,8 @@ class TestExitCodes:
             "oracle-large-screen-theta-inf", "solve-large-screen-b-1e308",
             "explicit-values-strings", "explicit-values-bools", "explicit-values-1e400",
             "schedule-pass-1-sigma-string", "schedule-explicit-length", "solve-N-1",
-            "schedule-N-1", "sweep-N-400"])
+            "schedule-N-1", "sweep-N-400", "schedule-pass-1-no-probs",
+            "schedule-pass-1-no-lead", "schedule-pass-1-lead-string"])
     def test_refused_config_prints_the_exact_message(self, tmp_path, command, config, message):
         cfg = write_config(tmp_path, config)
         out = str(tmp_path / "out")

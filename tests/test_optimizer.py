@@ -30,7 +30,7 @@ from prefetch360 import (
 from prefetch360 import optimizer
 from prefetch360.cli import ORACLE_TOL
 
-from conftest import dyadic_instance, random_instance
+from conftest import SIX_LEVEL_RATES, dyadic_instance, random_instance
 
 
 class TestToyInstance:
@@ -235,15 +235,14 @@ class TestTwoPasses:
         gains, sizes, width = optimizer._gains(inst), inst.size_table, ladder6.n_levels + 1
         for l0 in (0, 3, width - 1):
             room = cap - int(sizes[0, l0])
-            tables = (np.empty((5, width, room + 1), dtype=np.int16),
-                      np.empty((5, 1, room + 1), dtype=np.int16))
-            for dense_parents, one_parents in ((None, None), tables):
-                dense = optimizer._forward(gains, sizes, l0, room, np.empty((2, width, cap + 1)),
-                                           parents=dense_parents)
-                one = optimizer._forward(gains[:, :, :1], sizes, l0, room,
-                                         np.empty((2, 1, cap + 1)), parents=one_parents)
-                for row in dense[:, :room + 1]:
-                    assert np.array_equal(row, one[0, :room + 1])
+            dense_parents = np.empty((5, width, room + 1), dtype=np.int16)
+            one_parents = np.empty((5, 1, room + 1), dtype=np.int16)
+            dense = optimizer._forward(gains, sizes, l0, room, np.empty((2, width, room + 1)),
+                                       dense_parents)
+            one = optimizer._forward(gains[:, :, :1], sizes, l0, room, np.empty((2, 1, room + 1)),
+                                     one_parents)
+            for row in dense:
+                assert np.array_equal(row, one[0])
             # the backtrack reads row 0 for every conditioned level
             for row in range(width):
                 assert np.array_equal(dense_parents[:, row], one_parents[:, 0])
@@ -253,24 +252,25 @@ class TestTwoPasses:
         inst = Instance(grid6, ladder6, UtilityModel("log"), wrapped_gaussian(30.0, grid6),
                         12_000, beta)
         sizes = inst.size_table
-        paying = sum(1 for b in sizes[0] if b <= inst.capacity)
         for caps in ([], [0, 300, 700, 1500, 3000, 6000, 9000, 12_000]):
-            with mock.patch.object(optimizer, "_forward", wraps=optimizer._forward) as spy:
+            with mock.patch.object(optimizer, "_frontier", wraps=optimizer._frontier) as pass1, \
+                    mock.patch.object(optimizer, "_forward", wraps=optimizer._forward) as pass2:
                 report = solve_dp(inst, caps)
-            reruns = [call for call in spy.call_args_list if call.kwargs.get("parents") is not None]
-            assert len(spy.call_args_list) == paying + len(reruns)
-            # each rerun stops at the room of the largest budget its pin wins
+            # pass 1 runs every paying pin on its frontier, over the pin's whole room
+            assert [(c.args[2], c.args[3]) for c in pass1.call_args_list] == [
+                (l0, inst.capacity - int(b)) for l0, b in enumerate(sizes[0]) if b <= inst.capacity]
+            # pass 2 reruns each winning pin once, up to the room of the largest budget it wins
             won = {}
             budgets = [inst.capacity, *caps]
             for cap, selection in zip(budgets, [report.selection, *report.selections]):
                 l0 = selection.levels[0]
                 won[l0] = max(won.get(l0, 0), cap - int(sizes[0, l0]))
-            assert {call.args[2]: call.args[3] for call in reruns} == won
-            assert len(reruns) == len(won) <= ladder6.n_levels + 1
+            assert {call.args[2]: call.args[3] for call in pass2.call_args_list} == won
+            assert len(pass2.call_args_list) == len(won) <= ladder6.n_levels + 1
             if caps:
                 assert len(won) > 1
             else:
-                assert len(reruns) == 1
+                assert len(won) == 1
 
     @settings(deadline=None, max_examples=150)
     @given(seed=st.integers(0, 2**32 - 1),
@@ -284,6 +284,103 @@ class TestTwoPasses:
             exhaustive = brute_force(replace(inst, capacity=cap))
             assert selection.levels == exhaustive.selection.levels
             assert selection.value == exhaustive.value
+
+
+class TestFrontier:
+    """Pass 1's frontiers against the dense kernel, bit for bit."""
+
+    @staticmethod
+    def assert_frontiers_are_dense(inst, caps):
+        """Each paying pin's frontier reads every column of _forward's last row, bit for bit,
+        and solve_dp picks the winners a dense pass 1 would; returns each pin's point count."""
+        gains, sizes = optimizer._gains(inst), inst.size_table
+        if inst.beta == 0.0:
+            gains = gains[:, :, :1]
+        rows = gains.shape[2]
+        budgets = [inst.capacity, *caps]
+        winner, best = [None] * len(budgets), [-np.inf] * len(budgets)
+        points = []
+        for l0, paid in enumerate(sizes[0].tolist()):
+            room = inst.capacity - paid
+            if room < 0:
+                continue
+            parents = np.empty((inst.grid.n_tiles - 1, rows, room + 1), dtype=np.int16)
+            layer = optimizer._forward(gains, sizes, l0, room, np.empty((2, rows, room + 1)),
+                                       parents)
+            dense = layer[min(l0, rows - 1)]
+            cost, value = optimizer._frontier(gains, sizes, l0, room)
+            read = value[np.searchsorted(cost, np.arange(room + 1), side="right") - 1]
+            # the same bits, signed zeros included, at every column, requested or not
+            assert np.array_equal(read.view(np.int64), dense.view(np.int64))
+            for k, budget in enumerate(budgets):
+                if budget >= paid and dense[budget - paid] > best[k]:
+                    winner[k], best[k] = l0, float(dense[budget - paid])
+            # every conditioned row's points: one, then one per strict rise
+            points.append(int(np.count_nonzero(np.diff(layer) > 0)) + layer.shape[0])
+        report = solve_dp(inst, caps)
+        for selection, l0, value in zip([report.selection, *report.selections], winner, best,
+                                        strict=True):
+            assert selection.levels[0] == l0
+            assert repr(selection.value) == repr(value)
+        return points
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_frontier_values_are_the_dense_kernels(self, data):
+        n_tiles = data.draw(st.sampled_from([3, 6, 12, 24]), label="N")
+        capacity = data.draw(st.integers(0, 20_000), label="capacity")
+        beta = data.draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]), label="beta")
+        kind = data.draw(st.sampled_from(["linear", "sqrt", "log", "large_screen"]), label="kind")
+        f = data.draw(st.sampled_from([0.0, 1.0, 10.0]), label="f")
+        # zero weights make -0.0 gains, so signed zeros are drawn too
+        probs = data.draw(weights(n_tiles), label="probs")
+        caps = data.draw(st.lists(st.integers(0, capacity), max_size=3), label="caps")
+        grid = DirectionGrid(n_tiles)
+        inst = Instance(grid, QualityLadder(SIX_LEVEL_RATES, stall_penalty=f), UtilityModel(kind),
+                        probs, capacity, beta)
+        self.assert_frontiers_are_dense(inst, caps)
+
+    @settings(deadline=None, max_examples=100)
+    @given(seed=st.integers(0, 2**32 - 1),
+           shares=st.lists(st.integers(0, 1000), max_size=3))
+    def test_exact_ties_pick_the_dense_winners(self, seed, shares):
+        inst = dyadic_instance(np.random.default_rng(seed), max_tiles=5, max_levels=3)
+        self.assert_frontiers_are_dense(inst, [inst.capacity * share // 1000 for share in shares])
+
+    @staticmethod
+    def ladder_instance(beta):
+        # every sum of rates 1, 3, ..., 243 over 23 tiles is a distinct budget step
+        grid = DirectionGrid(24)
+        probs = np.random.default_rng(3).dirichlet(np.ones(24))
+        return Instance(grid, QualityLadder(tuple(3.0**k for k in range(6))), UtilityModel("log"),
+                        probs, 3000, beta)
+
+    def test_a_frontier_wider_than_the_room_stays_exact(self):
+        inst = self.ladder_instance(0.1)
+        points = self.assert_frontiers_are_dense(inst, [1000, 2999])
+        # a pin's rows hold more points than its room has columns
+        rooms = [inst.capacity - int(b) + 1 for b in inst.size_table[0]]
+        assert any(p > room for p, room in zip(points, rooms, strict=True))
+
+    @pytest.mark.parametrize("beta", [0.0, 0.1])
+    @pytest.mark.parametrize("block", [300, 2000])
+    def test_windows_carry_the_running_maximum(self, beta, block, monkeypatch):
+        # past _BLOCK candidates a tile runs in windows of _BLOCK // 7 columns
+        monkeypatch.setattr(optimizer, "_BLOCK", block)
+        self.assert_frontiers_are_dense(self.ladder_instance(beta), [1000, 2999])
+
+    @pytest.mark.parametrize("beta", [0.0, 0.1])
+    def test_a_wide_frontier_stays_under_the_counted_bytes(self, beta):
+        # at beta = 0 the one row is read by all seven levels, so the tiles run in windows
+        inst = self.ladder_instance(beta)
+        counted = 7 * (inst.capacity + 1) * (2 * 7 * 23 + 16)
+        tracemalloc.start()
+        try:
+            solve_dp(inst, [1000, 2999])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < counted
 
 
 class TestStructuralProperties:
