@@ -8,7 +8,6 @@ prefix, and the caller that knows the block's key names it once, so ``lag_s: ...
 reads ``probs: lag_s: ...``, ``passes[i].probs: lag_s: ...`` or ``family: lag_s: ...``.
 """
 
-import json
 import math
 import sys
 from contextlib import contextmanager
@@ -30,7 +29,7 @@ from .model import (
 from .optimizer import _check_dp_bytes
 from .scheduler import PrefetchPass, PrefetchPlan, SizeModel
 from .synth import COHORT, EXPLORE_SPLIT_S, _sample_count
-from .traces import CATEGORIES, GRID_LIMIT, parse_trace
+from .traces import CATEGORIES, GRID_LIMIT, _json_object, parse_trace
 from .viewprob import (
     circular_smooth,
     discretize,
@@ -66,13 +65,7 @@ def load_json(path) -> dict:
     path = Path(path)
     if not path.exists():
         raise ValueError(f"config file not found: {path}")
-    try:
-        loaded = json.loads(path.read_text())
-    except (ValueError, RecursionError) as exc:
-        raise ValueError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(loaded, dict):
-        raise ValueError(f"{path}: top level must be a JSON object")
-    return loaded
+    return _json_object(path)
 
 
 @contextmanager
@@ -173,7 +166,10 @@ def parse_utility(cfg: dict, ladder: QualityLadder) -> UtilityModel:
 
 
 def load_traces(traces_dir, category: str | None = None) -> list:
-    """Parse every *.csv trace under a directory, optionally one category."""
+    """Parse every *.csv trace under a directory, optionally one category.
+
+    A config parses each category it names once, through one ``_cohort``.
+    """
     if traces_dir is None:
         raise ValueError("this config needs head traces; pass --traces DIR")
     root = Path(traces_dir)
@@ -189,8 +185,24 @@ def load_traces(traces_dir, category: str | None = None) -> list:
     return traces
 
 
-def build_probs(spec: dict, grid: DirectionGrid, traces_dir=None) -> np.ndarray:
-    """A probability vector from a ``probs`` block; its refusals leave the block unnamed."""
+def _cohort(traces_dir):
+    """cohort(category): ``load_traces(traces_dir, category)``, parsed once per category."""
+    loaded = {}
+
+    def cohort(category):
+        # keyed by repr: a category load_traces refuses may be unhashable, such as a list
+        key = repr(category)
+        if key not in loaded:
+            loaded[key] = load_traces(traces_dir, category)
+        return loaded[key]
+    return cohort
+
+
+def build_probs(spec: dict, grid: DirectionGrid, cohort=None) -> np.ndarray:
+    """A probability vector from a ``probs`` block; its refusals leave the block unnamed.
+
+    The empirical family reads ``cohort(category)``; without one it asks for --traces.
+    """
     family = spec.get("family")
     lag = _number(spec, "lag_s", 0.0)
     # inf is the lifetime distribution of the empirical family
@@ -217,7 +229,7 @@ def build_probs(spec: dict, grid: DirectionGrid, traces_dir=None) -> np.ndarray:
     if family == "empirical":
         if lag <= 0:
             raise ValueError("empirical family needs lag_s > 0")
-        traces = load_traces(traces_dir, spec.get("category"))
+        traces = (cohort or _cohort(None))(spec.get("category"))
         masses = empirical_yaw_change(traces, lag, _number(spec, "stride_s", 0.1))
         return discretize(masses, grid)
     raise ValueError(f"unknown family {family!r}")
@@ -244,7 +256,7 @@ def parse_instance(cfg: dict, traces_dir=None) -> Instance:
     _check_dp_bytes(ladder.n_levels + 1, grid.n_tiles, int(_as_nonneg_ints(capacity, "capacity")))
     block = _object(_require(cfg, "probs"), "probs")
     with _named("probs"):
-        probs = build_probs(block, grid, traces_dir)
+        probs = build_probs(block, grid, _cohort(traces_dir))
     return Instance(grid, ladder, utility, probs, capacity, beta)
 
 
@@ -277,10 +289,11 @@ def parse_schedule(cfg: dict, traces_dir=None):
     _check_beta(beta)
     PrefetchPlan(tuple(passes))
     _check_dp_bytes(ladder.n_levels + 1, grid.n_tiles, max(p.budget for p in passes))
+    cohort = _cohort(traces_dir)
     for i, block in enumerate(raw_passes):
         with _named(f"passes[{i}].probs"):
             passes[i] = replace(passes[i], probs=build_probs(
-                {"lag_s": passes[i].lead_time_s, **block["probs"]}, grid, traces_dir))
+                {"lag_s": passes[i].lead_time_s, **block["probs"]}, grid, cohort))
     return PrefetchPlan(tuple(passes)), ladder, utility, beta, size_model
 
 
@@ -327,11 +340,12 @@ def parse_sweep(cfg: dict, traces_dir=None):
     # every grid and DP table size is checked before the first vector, so a refused
     # sweep parses no trace
     spec = {**family, "family": family["kind"]}
+    cohort = _cohort(traces_dir)
     with _named("family"):
         if family["kind"] == "convolved":
             vectors = [_convolved(spec, grid, len(lags) - 1) for grid in grids]
         else:
-            vectors = [[build_probs({**spec, "lag_s": lag}, grid, traces_dir) for lag in lags]
+            vectors = [[build_probs({**spec, "lag_s": lag}, grid, cohort) for lag in lags]
                        for grid in grids]
     return label, caps, betas, lags, ladders, utilities, list(zip(grids, vectors))
 

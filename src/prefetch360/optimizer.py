@@ -257,11 +257,21 @@ def _forward(gains, sizes, l0, room, layers, parents):
     return layer
 
 
-def _dp_run(inst: Instance, columns):
+def solve_dp(inst: Instance, capacities=None) -> SolveReport:
+    """Exact ring DP; see the module docstring for the recursion.
+
+    The pass at ``inst.capacity`` also answers each smaller budget in ``capacities``,
+    each backtracked from its winning pin's table into ``report.selections`` in
+    the given order.
+    """
+    caps = _as_nonneg_ints([] if capacities is None else capacities, "capacity", ndim=1)
+    cap = inst.capacity
+    if np.any(caps > cap):
+        raise ValueError(f"capacity must not exceed the instance capacity {cap}")
+    columns = [cap, *caps.tolist()]
     grid_n = inst.grid.n_tiles
     sizes = inst.size_table
     n_levels = sizes.shape[1]
-    cap = inst.capacity
 
     _check_dp_bytes(n_levels, grid_n, cap)
     gains = _gains(inst)
@@ -308,23 +318,9 @@ def _dp_run(inst: Instance, columns):
                 levels[n] = l
                 c -= int(sizes[n, l])
             selections[k] = Selection(tuple(levels), value)
-    return selections
-
-
-def solve_dp(inst: Instance, capacities=None) -> SolveReport:
-    """Exact ring DP; see the module docstring for the recursion.
-
-    The pass at ``inst.capacity`` also answers each smaller budget in ``capacities``,
-    each backtracked from its winning pin's table into ``report.selections`` in
-    the given order.
-    """
-    caps = _as_nonneg_ints([] if capacities is None else capacities, "capacity", ndim=1)
-    if np.any(caps > inst.capacity):
-        raise ValueError(f"capacity must not exceed the instance capacity {inst.capacity}")
-    top, *rest = _dp_run(inst, [inst.capacity, *caps])
-    width = inst.ladder.n_levels + 1
-    count = width * width * inst.grid.n_tiles * (inst.capacity + 1)
-    return SolveReport(top, top.value, "dp", SolveStats(count), tuple(rest))
+    top, *rest = selections
+    return SolveReport(top, top.value, "dp", SolveStats(n_levels * n_levels * grid_n * (cap + 1)),
+                       tuple(rest))
 
 
 def brute_force(inst: Instance) -> SolveReport:

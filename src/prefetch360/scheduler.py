@@ -109,16 +109,14 @@ def upgrade_sizes(state: TileState, ladder: QualityLadder, size_model: SizeModel
     n_levels = ladder.n_levels
     if np.any(state.levels > n_levels):
         raise ValueError("cached level exceeds the ladder")
-    rates = np.concatenate([[0.0], np.asarray(ladder.rates_kbps)])
-    level_idx = np.arange(n_levels + 1)
     cached = state.levels[:, None]
     if size_model.mode == "svc_ideal":
+        rates = np.concatenate([[0.0], np.asarray(ladder.rates_kbps)])
         increment = rates[None, :] - rates[cached]
-        raw = (1.0 + size_model.overhead) * ladder.chunk_s * increment
+        sizes = np.rint((1.0 + size_model.overhead) * ladder.chunk_s * increment).astype(np.int64)
     else:
-        raw = np.broadcast_to(rates * ladder.chunk_s, (state.levels.size, n_levels + 1)).copy()
-    sizes = np.rint(raw).astype(np.int64)
-    sizes[level_idx[None, :] <= cached] = 0
+        sizes = np.tile(ladder.level_sizes(), (state.levels.size, 1))
+    sizes[np.arange(n_levels + 1) <= cached] = 0
     return sizes
 
 

@@ -168,6 +168,17 @@ def _csv_table(csv_path, body: str, n_columns: int) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
+def _json_object(path: Path) -> dict:
+    """The object a JSON file holds at its top level; a config or a sidecar."""
+    try:
+        loaded = json.loads(path.read_text())
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(loaded, dict):
+        raise ValueError(f"{path}: top level must be a JSON object")
+    return loaded
+
+
 def _read_trace_csv(csv_path: Path):
     """(header, body): the header record's stripped names and the text after it."""
     try:
@@ -232,12 +243,7 @@ def parse_trace(csv_path) -> HeadTrace:
     meta = {"video_id": csv_path.stem, "user_id": "", "category": "misc"}
     sidecar = csv_path.with_suffix(".json")
     if sidecar.exists():
-        try:
-            loaded = json.loads(sidecar.read_text())
-        except (ValueError, RecursionError) as exc:
-            raise ValueError(f"{sidecar}: invalid JSON ({exc})") from None
-        if not isinstance(loaded, dict):
-            raise ValueError(f"{sidecar}: sidecar must hold a JSON object")
+        loaded = _json_object(sidecar)
         for key in meta:
             value = loaded.get(key, meta[key])
             if not isinstance(value, str):

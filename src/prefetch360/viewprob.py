@@ -32,21 +32,23 @@ SIGMA_LIMIT_DEG = 1e5
 
 _EPS = 1e-9
 
-# Cephes ndtr coefficients: erfc on [1, 8) is exp(-x^2) P(x)/Q(x), on [8, inf)
-# exp(-x^2) R(x)/S(x), and erf on [0, 1] is x T(x^2)/U(x^2)
+# Cephes ndtr coefficients, highest power first: erfc on [1, 8) is exp(-x^2) P(x)/Q(x),
+# on [8, inf) exp(-x^2) R(x)/S(x), and erf on [0, 1] is x T(x^2)/U(x^2).  Cephes leaves
+# the leading 1.0 of Q, S and U implicit; it is written out here, and since 1.0 * x == x
+# exactly, one evaluator returns Cephes' doubles for all six
 _P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
       4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
       9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
-_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+_Q = (1.0, 1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
       9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
       1.65666309194161350182E3, 5.57535340817727675546E2)
 _R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
       6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
-_S = (2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+_S = (1.0, 2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
       1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
 _T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
       7.00332514112805075473E3, 5.55923013010394962768E4)
-_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+_U = (1.0, 3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
       2.26290000613890934246E4, 4.92673942608635921086E4)
 _MAXLOG = 7.09782712893383996843E2
 _SQRT1_2 = math.sqrt(0.5)
@@ -92,18 +94,10 @@ def _polevl(x, coefs):
     return y
 
 
-def _p1evl(x, coefs):
-    # the leading coefficient is an implicit 1
-    y = x + coefs[0]
-    for c in coefs[1:]:
-        y = y * x + c
-    return y
-
-
 def _erf(x):
     """Cephes ``erf`` for ``|x| <= 1``."""
     z = x * x
-    return x * _polevl(z, _T) / _p1evl(z, _U)
+    return x * _polevl(z, _T) / _polevl(z, _U)
 
 
 def _ndtr(a):
@@ -126,7 +120,7 @@ def _ndtr(a):
         band = (z >= lo) & (z < hi)
         t = z[band]
         decay = np.array([math.exp(v) if v >= -_MAXLOG else 0.0 for v in (-t * t).tolist()])
-        out[band] = 0.5 * (decay * _polevl(t, num) / _p1evl(t, den))
+        out[band] = 0.5 * (decay * _polevl(t, num) / _polevl(t, den))
     upper = ~inner & (x > 0)
     out[upper] = 1.0 - out[upper]
     return out

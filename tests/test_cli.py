@@ -389,6 +389,12 @@ class TestExitCodes:
         ("schedule", two_pass_schedule({"lead_s": "1", "budget": 10,
                                         "probs": {"family": "uniform"}}),
          "passes[1]: lead_s: expected a number"),
+        ("solve", {**TOY_SOLVE, "probs": {"family": "empirical", "lag_s": 1, "category": [1]}},
+         "probs: unknown trace category [1]"),
+        ("schedule", one_pass_schedule(probs={"family": "empirical", "category": [1]}),
+         "passes[0].probs: unknown trace category [1]"),
+        ("sweep", {**SWEEP, "family": {"kind": "empirical", "category": [1]}},
+         "family: unknown trace category [1]"),
     ], ids=["solve-utility", "sweep-utility", "solve-probs", "schedule-size-model",
             "schedule-pass", "schedule-pass-probs", "oracle-batch", "kinds-empty",
             "kinds-unknown", "kinds-list", "kinds-twice", "metrics-empty", "metrics-unknown",
@@ -398,11 +404,15 @@ class TestExitCodes:
             "explicit-values-strings", "explicit-values-bools", "explicit-values-1e400",
             "schedule-pass-1-sigma-string", "schedule-explicit-length", "solve-N-1",
             "schedule-N-1", "sweep-N-400", "schedule-pass-1-no-probs",
-            "schedule-pass-1-no-lead", "schedule-pass-1-lead-string"])
+            "schedule-pass-1-no-lead", "schedule-pass-1-lead-string", "solve-category-list",
+            "schedule-category-list", "sweep-category-list"])
     def test_refused_config_prints_the_exact_message(self, tmp_path, command, config, message):
         cfg = write_config(tmp_path, config)
         out = str(tmp_path / "out")
-        assert run_main([command, "--config", cfg, "--out", out]) == (1, "", f"error: {message}\n")
+        # a trace directory, so an empirical family gets as far as its category
+        traces = [] if command == "gen-traces" else ["--traces", str(tmp_path)]
+        assert run_main([command, "--config", cfg, "--out", out, *traces]) == (
+            1, "", f"error: {message}\n")
         assert not Path(out).exists()
 
     SIGMA_0 = {"family": "wrapped_gaussian", "sigma_deg": 0}

@@ -1,11 +1,15 @@
 """JSON config parsing: happy paths and the errors users actually hit."""
 
+import functools
 import json
+from collections import Counter
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from prefetch360 import constant_trace, write_trace
+from prefetch360 import constant_trace, parse_trace, write_trace
 from prefetch360.config import (
     build_probs,
     load_json,
@@ -124,10 +128,11 @@ class TestBuildProbs:
 
     def test_empirical_needs_a_trace_dir(self, grid, trace_dir):
         with pytest.raises(ValueError, match="pass --traces"):
-            build_probs({"family": "empirical", "lag_s": 1.0}, grid, None)
-        p = build_probs({"family": "empirical", "lag_s": 1.0}, grid, trace_dir)
+            build_probs({"family": "empirical", "lag_s": 1.0}, grid)
+        cohort = functools.partial(load_traces, trace_dir)
+        p = build_probs({"family": "empirical", "lag_s": 1.0}, grid, cohort)
         assert p[0] == pytest.approx(1.0)  # fixed gazes never move
-        lifetime = build_probs({"family": "empirical", "lag_s": np.inf}, grid, trace_dir)
+        lifetime = build_probs({"family": "empirical", "lag_s": np.inf}, grid, cohort)
         assert lifetime[0] == pytest.approx(1.0)
 
     def test_unknown_family(self, grid):
@@ -218,6 +223,28 @@ class TestParseSweep:
         with pytest.raises(ValueError, match="'kind'"):
             parse_sweep({"rates": [100], "N": 2, "capacity": 100, "lags": 1.0,
                          "family": {"sigma0_deg": 10}})
+
+
+class TestCohort:
+    """A config parses each trace file once per distinct category it names."""
+
+    @staticmethod
+    def parses_per_file(parse_config, cfg, trace_dir):
+        with mock.patch("prefetch360.config.parse_trace", wraps=parse_trace) as parse:
+            parse_config(cfg, trace_dir)
+        return Counter(Path(call.args[0]).name for call in parse.call_args_list)
+
+    def test_sweep_parses_each_file_once(self, trace_dir):
+        cfg = {"rates": [100, 200], "N": [3, 6], "capacity": [100], "lags": [0.5, 1, 2],
+               "family": {"kind": "empirical"}}
+        assert self.parses_per_file(parse_sweep, cfg, trace_dir) == {"a.csv": 1, "b.csv": 1}
+
+    def test_schedule_parses_each_file_once_per_category(self, trace_dir):
+        # the first and last passes read every trace; the middle one reads "static_focus"
+        cfg = {"rates": [100, 200], "N": 3, "passes": [
+            {"lead_s": lead, "budget": 100, "probs": {"family": "empirical", **category}}
+            for lead, category in ((3, {}), (2, {"category": "static_focus"}), (1, {}))]}
+        assert self.parses_per_file(parse_schedule, cfg, trace_dir) == {"a.csv": 2, "b.csv": 2}
 
 
 class TestParseGenAndAnalyze:

@@ -136,9 +136,12 @@ class TestParseAndWrite:
         trace = constant_trace(duration_s=1.0, rate_hz=5.0)
         path = tmp_path / "t.csv"
         write_trace(trace, path)
-        (tmp_path / "t.json").write_text(json.dumps(["not", "an", "object"]))
-        with pytest.raises(ValueError, match="JSON object"):
-            parse_trace(path)
+        # the text a config that is not a JSON object gets
+        for payload in (json.dumps(["not", "an", "object"]), "[1, 2]"):
+            (tmp_path / "t.json").write_text(payload)
+            with pytest.raises(ValueError) as refused:
+                parse_trace(path)
+            assert str(refused.value) == f"{tmp_path / 't.json'}: top level must be a JSON object"
 
 
 def csv_writer_bytes(trace):
