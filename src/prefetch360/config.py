@@ -165,6 +165,12 @@ def parse_utility(cfg: dict, ladder: QualityLadder) -> UtilityModel:
     return model
 
 
+def _check_category(category) -> None:
+    """Refuse a trace category other than None or one of ``CATEGORIES``."""
+    if category is not None and category not in CATEGORIES:
+        raise ValueError(f"unknown trace category {category!r}")
+
+
 def load_traces(traces_dir, category: str | None = None) -> list:
     """Parse every *.csv trace under a directory, optionally one category.
 
@@ -175,8 +181,7 @@ def load_traces(traces_dir, category: str | None = None) -> list:
     root = Path(traces_dir)
     if not root.is_dir():
         raise ValueError(f"trace directory not found: {root}")
-    if category is not None and category not in CATEGORIES:
-        raise ValueError(f"unknown trace category {category!r}")
+    _check_category(category)
     traces = [parse_trace(p) for p in sorted(root.glob("*.csv"))]
     if category is not None:
         traces = [tr for tr in traces if tr.category == category]
@@ -405,6 +410,6 @@ def parse_analyze(cfg: dict) -> dict:
         "pairwise_step_s": _number(cfg, "pairwise_step_s", 0.5),
         "category": cfg.get("category"),
     }
-    if out["category"] is not None and out["category"] not in CATEGORIES:
-        raise ValueError(f"category: unknown category {out['category']!r}")
+    with _named("category"):
+        _check_category(out["category"])
     return out

@@ -395,6 +395,7 @@ class TestExitCodes:
          "passes[0].probs: unknown trace category [1]"),
         ("sweep", {**SWEEP, "family": {"kind": "empirical", "category": [1]}},
          "family: unknown trace category [1]"),
+        ("analyze", {"category": "nope"}, "category: unknown trace category 'nope'"),
     ], ids=["solve-utility", "sweep-utility", "solve-probs", "schedule-size-model",
             "schedule-pass", "schedule-pass-probs", "oracle-batch", "kinds-empty",
             "kinds-unknown", "kinds-list", "kinds-twice", "metrics-empty", "metrics-unknown",
@@ -405,7 +406,7 @@ class TestExitCodes:
             "schedule-pass-1-sigma-string", "schedule-explicit-length", "solve-N-1",
             "schedule-N-1", "sweep-N-400", "schedule-pass-1-no-probs",
             "schedule-pass-1-no-lead", "schedule-pass-1-lead-string", "solve-category-list",
-            "schedule-category-list", "sweep-category-list"])
+            "schedule-category-list", "sweep-category-list", "analyze-category"])
     def test_refused_config_prints_the_exact_message(self, tmp_path, command, config, message):
         cfg = write_config(tmp_path, config)
         out = str(tmp_path / "out")

@@ -284,7 +284,7 @@ class TestParseGenAndAnalyze:
         assert spec["lags"] == [1.0]
         with pytest.raises(ValueError, match="unknown metric"):
             parse_analyze({"metrics": ["telepathy"]})
-        with pytest.raises(ValueError, match="unknown category"):
+        with pytest.raises(ValueError, match="^category: unknown trace category 'skydiving'$"):
             parse_analyze({"category": "skydiving"})
         with pytest.raises(ValueError, match="metrics: expected a non-empty list"):
             parse_analyze({"metrics": []})

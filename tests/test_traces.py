@@ -3,12 +3,14 @@
 import csv
 import io
 import json
+import tracemalloc
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from prefetch360 import (
     Cdf,
@@ -30,7 +32,7 @@ from prefetch360 import (
     write_trace,
     yaw_change_cdf,
 )
-from prefetch360 import traces
+from prefetch360 import synth, traces
 from prefetch360.traces import TRACE_COLUMNS
 
 from conftest import trace_csv_bytes
@@ -144,6 +146,26 @@ class TestParseAndWrite:
             assert str(refused.value) == f"{tmp_path / 't.json'}: top level must be a JSON object"
 
 
+def _with_neighbours(v):
+    """v, -v and their finite nextafter neighbours, as Python floats."""
+    with np.errstate(over="ignore"):
+        near = (np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf))
+    return st.sampled_from([float(s * u) for u in near for s in (1, -1) if np.isfinite(u)])
+
+
+# doubles for the written-bytes contract: the whole finite range with its subnormals,
+# exact decimal ties k/128 and k/2**20, signed zeros, values that print -0.000000 and
+# the numpy formatter's bound, each drawn with its sign flipped and its neighbours
+WRITTEN_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e6, 1e6),
+    st.integers(-2**27, 2**27).map(lambda k: k / 128),
+    st.integers(-2**40, 2**40).map(lambda k: k / 2**20),
+    st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e-9, 2.5e-7, 5e-7, 1e300,
+                     traces._FAST_BELOW, 999_999.4999995, 999_999.9999995, 1e6]),
+).flatmap(_with_neighbours)
+
+
 def csv_writer_bytes(trace):
     """What ``csv.writer`` writes for the trace's ``f"{x:.6f}"`` fields."""
     out = io.StringIO(newline="")
@@ -177,6 +199,68 @@ class TestWrittenBytes:
         path = tmp_path / "t.csv"
         write_trace(trace, path)
         assert path.read_bytes() == csv_writer_bytes(trace)
+
+    @settings(deadline=None, max_examples=100)
+    @given(data=st.data())
+    @pytest.mark.parametrize("rows_per_write", [1, 3, traces._WRITE_ROWS])
+    def test_any_finite_doubles_match_csv_writer(self, tmp_path_factory, rows_per_write, data):
+        # some traces hold no magnitude past the numpy formatter's bound, or no tie
+        # either, so that whole blocks of several rows take it, not only one-row blocks
+        bounded = WRITTEN_VALUES.filter(lambda v: abs(v) < traces._FAST_BELOW)
+        values = data.draw(st.sampled_from([bounded.filter(
+            lambda v: abs(abs(v) * 1e6 - np.rint(abs(v) * 1e6)) != 0.5), bounded, WRITTEN_VALUES]))
+        t = sorted(data.draw(st.lists(values, min_size=2, max_size=8, unique=True)))
+        assume(np.isfinite(t[-1] - t[0]))
+        yaw, pitch, roll, *velocities = (
+            np.array(data.draw(st.lists(values, min_size=len(t), max_size=len(t))))
+            for _ in range(6))
+        # the angles clipped into their ranges, which keeps ties, subnormals and signed zeros
+        top = np.nextafter(180.0, 0.0)
+        trace = HeadTrace(t, np.clip(yaw, -180.0, top), np.clip(pitch, -90.0, 90.0),
+                          np.clip(roll, -180.0, top), *velocities)
+        path = tmp_path_factory.mktemp("bytes") / "t.csv"
+        with mock.patch.object(traces, "_WRITE_ROWS", rows_per_write):
+            write_trace(trace, path)
+        assert path.read_bytes() == csv_writer_bytes(trace)
+
+    @pytest.mark.parametrize("kind", sorted(synth.COHORT))
+    def test_generated_traffic_never_falls_back(self, tmp_path, kind):
+        # gen-traces' cohort at the benchmark's 60 s and 50 Hz: every block takes the numpy path
+        path = tmp_path / "t.csv"
+        with mock.patch.object(traces, "_reference_bytes", side_effect=AssertionError("fell back")):
+            for i in range(3):
+                trace = synth.COHORT[kind](i, 60.0, 50.0, np.random.default_rng([0, i]))
+                write_trace(trace, path)
+                assert path.read_bytes() == csv_writer_bytes(trace)
+
+    def test_ties_fall_back_and_keep_their_bytes(self, tmp_path):
+        # at 128 Hz every odd sample time i/128 scales to a half-integer: %.6f rounds it half-even
+        trace = synth.COHORT["rotation"](0, 1.0, 128.0, None)
+        path = tmp_path / "t.csv"
+        with mock.patch.object(traces, "_reference_bytes", wraps=traces._reference_bytes) as slow:
+            write_trace(trace, path)
+        assert slow.call_count == 1
+        assert path.read_bytes() == csv_writer_bytes(trace)
+        t_s = [line.split(",")[0] for line in path.read_text().splitlines()[1:]]
+        assert t_s == [f"{i / 128:.6f}" for i in range(129)]
+
+    # what one row of a block may hold at the peak: 7 values of 8 bytes each for the
+    # block, for the previous block while the next is stacked, and 48 for the formatter's
+    # parts, slots and text (the % path held 98 per value: the floats, their tuple, the text)
+    BYTES_PER_ROW = 7 * (8 + 8 + 48)
+
+    def test_a_long_trace_peaks_within_one_block(self, tmp_path):
+        trace = random_walk_trace(duration_s=1999.98, rate_hz=50.0, rng=np.random.default_rng(0))
+        assert trace.t.size == 100_000
+        path = tmp_path / "t.csv"
+        write_trace(trace, path)  # the digit tables are built on first use
+        tracemalloc.start()
+        try:
+            write_trace(trace, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.BYTES_PER_ROW * traces._WRITE_ROWS
 
 
 def parse_both_ways(path):
