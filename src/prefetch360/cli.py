@@ -28,6 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import (
+    _fmt,
+    _lag_label,
     load_json,
     load_traces,
     parse_analyze,
@@ -133,10 +135,6 @@ def _emit_csv(header, rows, out) -> None:
     _emit_text(buf.getvalue(), out)
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.6f}"
-
-
 def cmd_solve(args) -> int:
     inst = parse_instance(load_json(args.config), args.traces)
     report = solve_dp(inst)
@@ -152,22 +150,15 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    label, caps, betas, lags, ladders, utilities, grids = parse_sweep(
-        load_json(args.config), args.traces)
+    label, caps, groups = parse_sweep(load_json(args.config), args.traces)
     results = []
-    for grid, vectors in grids:
-        for f, ladder in ladders:
-            for ulabel, utility in utilities:
-                for beta in betas if caps else ():
-                    for lag, probs in zip(lags, vectors):
-                        # one DP at the largest budget answers every capacity of the group
-                        inst = Instance(grid, ladder, utility, probs, max(caps), beta)
-                        report = solve_dp(inst, caps)
-                        for cap, selection in zip(caps, report.selections):
-                            # row values re-evaluate bit-exactly by construction
-                            results.append((label, ulabel, grid.n_tiles, cap, f, beta, lag,
-                                            eval_objective(selection, inst),
-                                            "|".join(str(l) for l in selection.levels)))
+    for (ulabel, n, f, beta, lag), inst in groups:
+        # one DP at the largest budget answers every capacity of the group
+        report = solve_dp(inst, caps)
+        for cap, selection in zip(caps, report.selections):
+            # row values re-evaluate bit-exactly by construction
+            results.append((label, ulabel, n, cap, f, beta, lag, eval_objective(selection, inst),
+                            "|".join(str(l) for l in selection.levels)))
 
     results.sort(key=lambda r: (r[0], r[1], r[2], r[3], r[4], r[5], r[6]))
     rows = [(family, ulabel, n, c, _fmt(f), _fmt(beta), _fmt(lag), _fmt(value), levels)
@@ -207,7 +198,7 @@ def cmd_analyze(args) -> int:
         times, mean_diff = pairwise_angular_difference(traces, spec["pairwise_step_s"])
         rows += [("pairwise", "all", f"t_s={t:.2f}", _fmt(v)) for t, v in zip(times, mean_diff)]
     for lag in spec["lags"]:
-        group = f"lag_s={lag:g}"
+        group = f"lag_s={_lag_label(lag)}"
         if "yaw_change" in metrics:
             rows += _describe_rows("yaw_change", group, yaw_change_cdf(traces, lag, stride))
         if "velocity_error" in metrics:

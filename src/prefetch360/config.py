@@ -3,6 +3,8 @@
 Instance configs use flat keys (rates, delta, f, beta, N, capacity) plus a
 ``utility`` block with kind-specific parameters and a ``probs`` block naming
 a probability family.  Sweep and schedule configs reuse the same vocabulary.
+A list knob, such as a sweep's ``N`` or analyze's ``metrics``, takes one value
+or a non-empty list, and ``_each`` is its only reader.
 Errors raise ValueError naming the offending key: a reader refuses without a
 prefix, and the caller that knows the block's key names it once, so ``lag_s: ...``
 reads ``probs: lag_s: ...``, ``passes[i].probs: lag_s: ...`` or ``family: lag_s: ...``.
@@ -111,29 +113,42 @@ def _object(value, name: str) -> dict:
 
 
 def _names(cfg: dict, key: str, known, noun: str) -> list:
-    """A non-empty list of known names, each listed once; every known name by default."""
-    names = _as_list(cfg.get(key, list(known)))
-    if not names:
-        raise ValueError(f"{key}: expected a non-empty list")
-    for i, name in enumerate(names):
+    """A list knob of known names, each listed once; every known name by default."""
+    names = _each(cfg, key, _require, list(known))
+    for name in names:
         # an unhashable name, such as a list, cannot be looked up
         if not isinstance(name, str) or name not in known:
             raise ValueError(f"{key}: unknown {noun} {name!r}")
-        if name in names[:i]:
-            raise ValueError(f"{key}: {noun} {name!r} is listed twice")
+    _listed_once(key, names, repr, noun)
     return names
 
 
-def _as_list(value):
-    return value if isinstance(value, list) else [value]
-
-
 def _each(cfg: dict, key: str, check, default=None) -> list:
-    """A scalar-or-list knob as a list, each element read by ``_int``, ``_number`` or ``_grid``."""
+    """A list knob, one value or a non-empty list, each element read by ``check``."""
     values = _require(cfg, key) if default is None else cfg.get(key, default)
     if not isinstance(values, list):
         return [check({key: values}, key)]
+    if not values:
+        raise ValueError(f"{key}: expected a non-empty list")
     return [check({f"{key}[{i}]": v}, f"{key}[{i}]") for i, v in enumerate(values)]
+
+
+def _fmt(x) -> str:
+    """A number as a CSV row prints it, to six decimals."""
+    return f"{float(x):.6f}"
+
+
+def _lag_label(lag) -> str:
+    """A lag as analyze's ``lag_s=`` group labels print it."""
+    return f"{lag:g}"
+
+
+def _listed_once(key: str, values, fmt, noun: str) -> None:
+    """Refuse two values of a list knob that ``fmt`` prints alike."""
+    labels = [fmt(v) for v in values]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise ValueError(f"{key}: {noun} {label} is listed twice")
 
 
 def _grid(cfg: dict, key: str) -> DirectionGrid:
@@ -144,8 +159,7 @@ def _grid(cfg: dict, key: str) -> DirectionGrid:
 
 
 def parse_ladder(cfg: dict) -> QualityLadder:
-    rates = _require(cfg, "rates")
-    if not isinstance(rates, list) or not rates:
+    if not isinstance(_require(cfg, "rates"), list):
         raise ValueError("rates: expected a non-empty list")
     return QualityLadder(tuple(_each(cfg, "rates", _number)),
                          chunk_s=_number(cfg, "delta", 1.0),
@@ -195,11 +209,10 @@ def _cohort(traces_dir):
     loaded = {}
 
     def cohort(category):
-        # keyed by repr: a category load_traces refuses may be unhashable, such as a list
-        key = repr(category)
-        if key not in loaded:
-            loaded[key] = load_traces(traces_dir, category)
-        return loaded[key]
+        _check_category(category)
+        if category not in loaded:
+            loaded[category] = load_traces(traces_dir, category)
+        return loaded[category]
     return cohort
 
 
@@ -303,18 +316,15 @@ def parse_schedule(cfg: dict, traces_dir=None):
 
 
 def parse_sweep(cfg: dict, traces_dir=None):
-    """Check a whole sweep config and build every axis, before any solve.
+    """Check a whole sweep config and build every instance, before any solve.
 
-    Returns (label, capacities, betas, lags, ladders, utilities, grids):
-    ``(f, ladder)`` and ``(label, utility)`` pairs, and one ``(grid, vectors)``
-    pair per ``N`` with one vector per lag.  Lag index i builds the family with
-    ``lag_s = lags[i]`` and ``steps = i``, so each convolved vector is the one
-    before smoothed once more.  Scalar knobs count as one-element lists; only
-    ``capacity`` may be empty, since an empty knob would skip every other check.
+    Returns (label, capacities, groups): one ``((utility label, N, f, beta, lag),
+    instance)`` group per point of the cross product of the list knobs, in that
+    loop order, each instance at the largest capacity.  Lag index i builds the
+    family with ``lag_s = lags[i]`` and ``steps = i``, so each convolved vector
+    is the one before smoothed once more.  Every list knob is read by ``_each``,
+    so each takes one value or a non-empty list.
     """
-    for key in ("N", "f", "beta", "utility", "lags"):
-        if cfg.get(key) == []:
-            raise ValueError(f"{key}: expected a non-empty list")
     family = cfg.get("family", {"kind": "uniform"})
     if not isinstance(family, dict) or "kind" not in family:
         raise ValueError("family: expected an object with a 'kind'")
@@ -328,20 +338,22 @@ def parse_sweep(cfg: dict, traces_dir=None):
         raise ValueError("lags: must be strictly increasing")
     caps = _each(cfg, "capacity", _int)
     betas = _each(cfg, "beta", _number, 0.0)
+    fs = _each(cfg, "f", _number, 1.0)
+    blocks = _each(cfg, "utility", _require, {"kind": "linear"})
+    grids = _each(cfg, "N", _grid)
     caps = _as_nonneg_ints(caps, "capacity", ndim=1).tolist()
     for beta in betas:
         _check_beta(beta)
-    ladders = [(f, parse_ladder({**cfg, "f": f})) for f in _each(cfg, "f", _number, 1.0)]
+    # rows of two values with one printed form would be told apart by no column
+    for key, values in (("f", fs), ("beta", betas), ("lags", lags)):
+        _listed_once(key, values, _fmt, "value")
+    ladders = [(f, parse_ladder({**cfg, "f": f})) for f in fs]
     # f changes only entry 0 of a utility table, so one ladder checks every table
-    models = [parse_utility({"utility": block}, ladders[0][1])
-              for block in _as_list(cfg.get("utility", {"kind": "linear"}))]
+    models = [parse_utility({"utility": block}, ladders[0][1]) for block in blocks]
     utilities = [(m.kind if m.kind not in [k.kind for k in models[:i]] else f"{m.kind}#{i}", m)
                  for i, m in enumerate(models)]
-    grids = []
-    for grid in _each(cfg, "N", _grid):
-        if caps:
-            _check_dp_bytes(ladders[0][1].n_levels + 1, grid.n_tiles, max(caps))
-        grids.append(grid)
+    for grid in grids:
+        _check_dp_bytes(ladders[0][1].n_levels + 1, grid.n_tiles, max(caps))
     # every grid and DP table size is checked before the first vector, so a refused
     # sweep parses no trace
     spec = {**family, "family": family["kind"]}
@@ -352,7 +364,14 @@ def parse_sweep(cfg: dict, traces_dir=None):
         else:
             vectors = [[build_probs({**spec, "lag_s": lag}, grid, cohort) for lag in lags]
                        for grid in grids]
-    return label, caps, betas, lags, ladders, utilities, list(zip(grids, vectors))
+    groups = [((ulabel, grid.n_tiles, f, beta, lag),
+               Instance(grid, ladder, utility, probs, max(caps), beta))
+              for grid, grid_vectors in zip(grids, vectors)
+              for f, ladder in ladders
+              for ulabel, utility in utilities
+              for beta in betas
+              for lag, probs in zip(lags, grid_vectors)]
+    return label, caps, groups
 
 
 def parse_gen(cfg: dict) -> dict:
@@ -390,13 +409,10 @@ def parse_analyze(cfg: dict) -> dict:
              "velocity_error", "origin_sectors", "phase_split")
     metrics = _names(cfg, "metrics", known, "metric")
     lags = _each(cfg, "lags", _number, [1.0])
-    if not lags:
-        raise ValueError("lags: expected a non-empty list")
     if not all(t > 0 for t in lags):
         raise ValueError("lags: must be positive")
-    for i, lag in enumerate(lags):
-        if lag in lags[:i]:
-            raise ValueError(f"lags: lag {lag:g} is listed twice")
+    # rows of two lags with one label would interleave under it
+    _listed_once("lags", lags, _lag_label, "lag")
     out = {
         "metrics": metrics,
         "lags": lags,

@@ -120,7 +120,7 @@ class HeadTrace:
         if np.any(np.abs(arrays["pitch"]) > 90.0):
             raise ValueError("pitch must lie in [-90, 90]")
         if self.category not in CATEGORIES:
-            raise ValueError(f"unknown category {self.category!r}")
+            raise ValueError(f"unknown trace category {self.category!r}")
         for name, arr in arrays.items():
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "lifted_yaw", unwrap_deg(arrays["yaw"]))

@@ -310,6 +310,7 @@ class TestExitCodes:
         ("sweep", {**SWEEP, "utility": []}, "utility: expected a non-empty list"),
         ("sweep", {**SWEEP, "lags": [], "family": {"kind": "bogus"}},
          "lags: expected a non-empty list"),
+        ("sweep", {**SWEEP, "capacity": []}, "capacity: expected a non-empty list"),
     ], ids=["sweep-capacity-null", "sweep-N-null", "sweep-lag-null", "sweep-sigma0-null",
             "sweep-capacity-fraction", "sweep-capacity-negative", "sweep-beta-bool",
             "sweep-lag-nan", "solve-rate-null", "solve-lag-negative", "solve-lag-nan",
@@ -320,7 +321,7 @@ class TestExitCodes:
             "analyze-lag-null", "analyze-lag-nan", "analyze-lags-empty", "oracle-count-bool",
             "oracle-count-over-the-limit", "oracle-count-1e18", "oracle-count-2^63",
             "sweep-N-empty", "sweep-f-empty", "sweep-beta-empty", "sweep-utility-empty",
-            "sweep-lags-empty"])
+            "sweep-lags-empty", "sweep-capacity-empty"])
     def test_malformed_config_names_the_key(self, tmp_path, capsys, command, config, key):
         cfg = write_config(tmp_path, config)
         assert main([command, "--config", cfg]) == 1
@@ -369,6 +370,8 @@ class TestExitCodes:
          "probs: values[0]: expected a number"),
         ("solve", {**TOY_SOLVE, "probs": {"family": "explicit", "values": [10**400, 0, 0]}},
          "probs: values[0]: number out of range"),
+        ("solve", {**TOY_SOLVE, "probs": {"family": "explicit", "values": []}},
+         "probs: values: expected a non-empty list"),
         ("schedule", {**PLAN, "passes": [
             PLAN["passes"][0],
             {**PLAN["passes"][1], "probs": {"family": "wrapped_gaussian", "sigma_deg": "30"}},
@@ -403,6 +406,7 @@ class TestExitCodes:
             "sweep-large-screen-a-inf", "schedule-large-screen-b-inf",
             "oracle-large-screen-theta-inf", "solve-large-screen-b-1e308",
             "explicit-values-strings", "explicit-values-bools", "explicit-values-1e400",
+            "explicit-values-empty",
             "schedule-pass-1-sigma-string", "schedule-explicit-length", "solve-N-1",
             "schedule-N-1", "sweep-N-400", "schedule-pass-1-no-probs",
             "schedule-pass-1-no-lead", "schedule-pass-1-lead-string", "solve-category-list",
@@ -446,10 +450,13 @@ class TestExitCodes:
         ("solve", {**TOY_SOLVE, "probs": LAG_NEGATIVE}, "probs: lag_s: must be nonnegative"),
         ("schedule", one_pass_schedule(probs=LAG_NEGATIVE),
          "passes[0].probs: lag_s: must be nonnegative"),
+        # without --traces, a bad category is named before the missing directory
+        ("solve", {**TOY_SOLVE, "probs": {"family": "empirical", "lag_s": 1, "category": "x"}},
+         "probs: unknown trace category 'x'"),
     ], ids=["solve-sigma-0", "schedule-sigma-0", "sweep-sigma-0", "solve-unknown-family",
             "schedule-unknown-family", "sweep-unknown-family", "solve-values-not-a-list",
             "schedule-values-not-a-list", "sweep-values-not-a-list", "solve-lag-negative",
-            "schedule-lag-negative"])
+            "schedule-lag-negative", "solve-category-without-traces"])
     def test_probability_block_is_named_once_by_its_command(self, tmp_path, command, config,
                                                             message):
         cfg = write_config(tmp_path, config)
@@ -548,9 +555,16 @@ class TestExitCodes:
         ("sweep", {**EMPIRICAL_SWEEP, "f": [0, 1],
                    "utility": [{"kind": "linear"}, {"kind": "large_screen", "a": 1e300}]},
          "utility: normalized utilities must be finite"),
+        # rows of two knob values that print alike at six decimals could not be told apart
+        ("sweep", {**EMPIRICAL_SWEEP, "beta": [0.1, 0.1000001]},
+         "beta: value 0.100000 is listed twice"),
+        ("sweep", {**EMPIRICAL_SWEEP, "f": [1, 1.0]}, "f: value 1.000000 is listed twice"),
+        ("sweep", {**EMPIRICAL_SWEEP, "lags": [1, 1.0000001]},
+         "lags: value 1.000000 is listed twice"),
     ], ids=["solve-capacity-negative", "solve-beta-7", "solve-parents-table",
             "schedule-beta-7", "schedule-leads-increasing", "schedule-budget-negative",
-            "sweep-later-N-parents-table", "sweep-later-N-361", "sweep-large-screen-a-1e300"])
+            "sweep-later-N-parents-table", "sweep-later-N-361", "sweep-large-screen-a-1e300",
+            "sweep-betas-print-alike", "sweep-f-repeated", "sweep-lags-print-alike"])
     def test_refused_config_parses_no_trace(self, tmp_path, small_cohort, command, config,
                                             message):
         # scalars and the DP table are checked before the first vector is built
@@ -624,11 +638,6 @@ class TestSweep:
         main(["sweep", "--config", cfg, "--out", str(second)])
         assert first.read_bytes() == second.read_bytes()
 
-    def test_empty_capacity_list_prints_the_header_only(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {**self.SWEEP, "capacity": []})
-        assert main(["sweep", "--config", cfg]) == 0
-        assert capsys.readouterr().out == "family,utility,N,C,f,beta,T,value,levels\n"
-
     def test_workers_flag_is_gone(self, tmp_path, capsys):
         cfg = write_config(tmp_path, self.SWEEP)
         assert main(["sweep", "--config", cfg, "--workers", "4"]) == 1
@@ -677,13 +686,14 @@ class TestSweep:
         code, _, err = run_main(["sweep", "--config", write_config(tmp_path, sweep)])
         assert code == 0 and err == "" and len(calls) == 2 * (len(lags) - 1)
 
-        *_, grids = config.parse_sweep(sweep)
-        assert [(grid.n_tiles, len(vectors)) for grid, vectors in grids] == [(4, 20), (6, 20)]
+        _, _, groups = config.parse_sweep(sweep)
+        assert [(n, lag) for (_, n, _, _, lag), _ in groups] == [
+            (n, lag) for n in (4, 6) for _ in sweep["beta"] for lag in lags]
         spec = {**family, "family": "convolved"}
-        for grid, vectors in grids:
-            for i, probs in enumerate(vectors):
-                per_lag = config.build_probs({**spec, "lag_s": lags[i], "steps": i}, grid)
-                assert np.array_equal(probs, per_lag)
+        for (_, n, _, _, lag), inst in groups:
+            per_lag = config.build_probs({**spec, "lag_s": lag, "steps": lags.index(lag)},
+                                         DirectionGrid(n))
+            assert np.array_equal(inst.probs, per_lag)
 
     REFUSED_BASE = {"rates": list(SIX_LEVEL_RATES), "N": 6, "capacity": [5000], "lags": [1, 2],
                     "family": {"kind": "wrapped_gaussian_sqrt"}}
@@ -979,7 +989,9 @@ class TestAnalyze:
         ({"metrics": []}, "metrics: expected a non-empty list"),
         ({"metrics": ["yaw_change", "yaw_change"]}, "metrics: metric 'yaw_change' is listed twice"),
         ({"metrics": ["yaw_change"], "lags": [1, 2, 1.0]}, "lags: lag 1 is listed twice"),
-    ], ids=["metrics-empty", "metric-repeated", "lag-repeated"])
+        # two lag_s=1 groups would interleave their rows
+        ({"metrics": ["yaw_change"], "lags": [1, 1.0000001]}, "lags: lag 1 is listed twice"),
+    ], ids=["metrics-empty", "metric-repeated", "lag-repeated", "lags-print-alike"])
     def test_refused_config_parses_no_trace(self, tmp_path, trace_dir, config, message):
         cfg = write_config(tmp_path, config, name="analyze.json")
         with mock.patch("prefetch360.config.parse_trace") as parse:

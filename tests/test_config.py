@@ -194,23 +194,30 @@ class TestParseSchedule:
 
 class TestParseSweep:
     def test_scalars_become_lists(self):
-        label, caps, betas, lags, ladders, utilities, grids = parse_sweep(
+        label, caps, groups = parse_sweep(
             {"rates": [100, 200], "N": 4, "capacity": 500, "lags": 2.0})
-        assert (label, caps, betas, lags) == ("uniform", [500], [0.0], [2.0])
-        assert [f for f, _ in ladders] == [1.0]
-        assert [u for u, _ in utilities] == ["linear"]
-        [(grid4, vectors)] = grids
-        assert grid4.n_tiles == 4 and len(vectors) == 1
-        np.testing.assert_array_equal(vectors[0], 0.25)
+        assert (label, caps) == ("uniform", [500])
+        [(key, inst)] = groups
+        assert key == ("linear", 4, 1.0, 0.0, 2.0)
+        assert (inst.grid.n_tiles, inst.capacity, inst.beta) == (4, 500, 0.0)
+        np.testing.assert_array_equal(inst.probs, 0.25)
 
     def test_labels_name_repeats_and_the_category(self, trace_dir):
-        label, *_, utilities, grids = parse_sweep(
-            {"rates": [100], "N": [2, 3], "capacity": [], "lags": [1.0, 2.0],
+        label, caps, groups = parse_sweep(
+            {"rates": [100], "N": [2, 3], "capacity": [100, 300, 200], "lags": [1.0, 2.0],
              "utility": [{"kind": "linear"}, {"kind": "sqrt"}, {"kind": "linear"}],
              "family": {"kind": "empirical", "category": "static_focus"}}, trace_dir)
-        assert label == "empirical:static_focus"
-        assert [u for u, _ in utilities] == ["linear", "sqrt", "linear#2"]
-        assert [(grid.n_tiles, len(vectors)) for grid, vectors in grids] == [(2, 2), (3, 2)]
+        assert (label, caps) == ("empirical:static_focus", [100, 300, 200])
+        # one group per (N, f, utility, beta, lag), in that loop order
+        assert [key for key, _ in groups] == [
+            (u, n, 1.0, 0.0, lag) for n in (2, 3) for u in ("linear", "sqrt", "linear#2")
+            for lag in (1.0, 2.0)]
+        cohort = functools.partial(load_traces, trace_dir)
+        for (_, n, _, _, lag), inst in groups:
+            assert inst.capacity == max(caps)
+            probs = build_probs({"family": "empirical", "category": "static_focus",
+                                 "lag_s": lag}, DirectionGrid(n), cohort)
+            np.testing.assert_array_equal(inst.probs, probs)
 
     def test_lags_must_strictly_increase(self):
         base = {"rates": [100], "N": 2, "capacity": 100}

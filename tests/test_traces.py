@@ -67,7 +67,7 @@ class TestHeadTrace:
         flat = np.zeros(2)
         with pytest.raises(ValueError, match="pitch"):
             HeadTrace(t, flat, np.array([0.0, 95.0]), flat, flat, flat, flat)
-        with pytest.raises(ValueError, match="unknown category"):
+        with pytest.raises(ValueError, match="unknown trace category"):
             manual_trace(t, flat, category="skydiving")
 
     def test_rejects_ragged_columns(self):
@@ -165,6 +165,9 @@ WRITTEN_VALUES = st.one_of(
                      traces._FAST_BELOW, 999_999.4999995, 999_999.9999995, 1e6]),
 ).flatmap(_with_neighbours)
 
+# write_trace's own block size, under an id that stays put when the size changes
+WHOLE_BLOCK = pytest.param(traces._WRITE_ROWS, id="block")
+
 
 def csv_writer_bytes(trace):
     """What ``csv.writer`` writes for the trace's ``f"{x:.6f}"`` fields."""
@@ -193,7 +196,7 @@ class TestWrittenBytes:
                              [0.0000005, -0.0000005], [2.0, 3.0], [-4.0, -5.0]])),
         random_walk_trace(duration_s=20.0, rate_hz=50.0, rng=np.random.default_rng(3)),
     ], ids=["edges", "two-samples", "random-walk"])
-    @pytest.mark.parametrize("rows_per_write", [1, 4, traces._WRITE_ROWS])
+    @pytest.mark.parametrize("rows_per_write", [1, 4, WHOLE_BLOCK])
     def test_bytes_match_csv_writer(self, tmp_path, monkeypatch, trace, rows_per_write):
         monkeypatch.setattr(traces, "_WRITE_ROWS", rows_per_write)
         path = tmp_path / "t.csv"
@@ -202,7 +205,7 @@ class TestWrittenBytes:
 
     @settings(deadline=None, max_examples=100)
     @given(data=st.data())
-    @pytest.mark.parametrize("rows_per_write", [1, 3, traces._WRITE_ROWS])
+    @pytest.mark.parametrize("rows_per_write", [1, 3, WHOLE_BLOCK])
     def test_any_finite_doubles_match_csv_writer(self, tmp_path_factory, rows_per_write, data):
         # some traces hold no magnitude past the numpy formatter's bound, or no tie
         # either, so that whole blocks of several rows take it, not only one-row blocks
