@@ -288,6 +288,13 @@ def _level_array(selection, inst: Instance) -> np.ndarray:
     return lv
 
 
+def _objective(u: np.ndarray, inst: Instance):
+    """The objective of per-tile utilities ``u`` of shape (..., N), one value per row."""
+    p = inst.probs
+    edge = 0.5 * (p + np.roll(p, -1))
+    return (1.0 - inst.beta) * (u @ p) - inst.beta * (np.abs(u - np.roll(u, -1, axis=-1)) @ edge)
+
+
 def eval_objective(selection, inst: Instance) -> float:
     """Objective value of a level assignment under the instance's probs.
 
@@ -295,11 +302,7 @@ def eval_objective(selection, inst: Instance) -> float:
     pairs each tile with its clockwise neighbor once, wrap included.
     """
     lv = _level_array(selection, inst)
-    p = inst.probs
-    u = inst.utility_table[np.arange(inst.grid.n_tiles), lv]
-    expected = float(p @ u)
-    penalty = float((0.5 * (p + np.roll(p, -1))) @ np.abs(u - np.roll(u, -1)))
-    return (1.0 - inst.beta) * expected - inst.beta * penalty
+    return float(_objective(inst.utility_table[np.arange(inst.grid.n_tiles), lv], inst))
 
 
 def selection_size(selection, inst: Instance) -> int:

@@ -70,7 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Instance, Selection, _as_nonneg_ints
+from .model import Instance, Selection, _as_nonneg_ints, _objective
 
 __all__ = [
     "SolveStats",
@@ -338,8 +338,6 @@ def brute_force(inst: Instance) -> SolveReport:
     total = n_levels ** grid_n
     if total > BRUTE_FORCE_LIMIT:
         raise ValueError(f"{total} assignments exceed the brute-force limit {BRUTE_FORCE_LIMIT}")
-    p = inst.probs
-    edge_unit = 0.5 * (p + np.roll(p, -1))
     shape = (n_levels,) * grid_n
     cols = np.arange(grid_n)
     best_value = -np.inf
@@ -350,10 +348,7 @@ def brute_force(inst: Instance) -> SolveReport:
         # tile n's level is digit -n mod N, most significant first; stacked row-major,
         # since the matrix-vector products below sum in another order on other layouts
         levels = np.stack([digits[-n % grid_n] for n in range(grid_n)], axis=1)
-        u_sel = utility[cols[None, :], levels]
-        expected = u_sel @ p
-        penalty = np.abs(u_sel - u_sel[:, (cols + 1) % grid_n]) @ edge_unit
-        value = (1.0 - inst.beta) * expected - inst.beta * penalty
+        value = _objective(utility[cols[None, :], levels], inst)
         spend = sizes[cols[None, :], levels].sum(axis=1)
         value[spend > inst.capacity] = -np.inf
         first = int(np.argmax(value))
