@@ -31,7 +31,17 @@ from .model import (
 from .optimizer import _check_dp_bytes
 from .scheduler import PrefetchPass, PrefetchPlan, SizeModel
 from .synth import COHORT, EXPLORE_SPLIT_S, _sample_count
-from .traces import CATEGORIES, GRID_LIMIT, _json_object, parse_trace
+from .traces import (
+    CATEGORIES,
+    GRID_LIMIT,
+    _check_stride,
+    _divisions,
+    _heatmap_bins,
+    _json_object,
+    _nonnegative,
+    _positive,
+    parse_trace,
+)
 from .viewprob import (
     circular_smooth,
     discretize,
@@ -247,8 +257,11 @@ def build_probs(spec: dict, grid: DirectionGrid, cohort=None) -> np.ndarray:
     if family == "empirical":
         if lag <= 0:
             raise ValueError("empirical family needs lag_s > 0")
+        stride = _number(spec, "stride_s", 0.1)
+        with _named("stride_s"):
+            _check_stride(stride)
         traces = (cohort or _cohort(None))(spec.get("category"))
-        masses = empirical_yaw_change(traces, lag, _number(spec, "stride_s", 0.1))
+        masses = empirical_yaw_change(traces, lag, stride)
         return discretize(masses, grid)
     raise ValueError(f"unknown family {family!r}")
 
@@ -404,7 +417,18 @@ def parse_oracle(cfg: dict) -> int | None:
     return count
 
 
+def _pairwise_step(step: float) -> None:
+    """Refuse a step finer than the pairwise rows' ``t_s=`` labels, printed to 0.01 s."""
+    if not step >= 0.01:
+        raise ValueError("must be at least 0.01 s, the resolution of the t_s= labels")
+
+
 def parse_analyze(cfg: dict) -> dict:
+    """Check an analyze config before any trace is parsed.
+
+    A knob's type is checked whatever the metrics; its value only when a
+    requested metric reads it, by the rule that metric's analytic applies.
+    """
     known = ("utilization", "heatmap", "pairwise", "yaw_change",
              "velocity_error", "origin_sectors", "phase_split")
     metrics = _names(cfg, "metrics", known, "metric")
@@ -428,4 +452,21 @@ def parse_analyze(cfg: dict) -> dict:
     }
     with _named("category"):
         _check_category(out["category"])
+    windowed = ("yaw_change", "velocity_error", "origin_sectors", "phase_split")
+    rules = (
+        (windowed, ("stride_s",), _check_stride),
+        (("heatmap",), ("yaw_bin_deg",), lambda w: _divisions(360.0, w, "yaw bin")),
+        (("heatmap",), ("pitch_bin_deg",), lambda w: _divisions(180.0, w, "pitch bin")),
+        (("heatmap",), ("yaw_bin_deg", "pitch_bin_deg"), _heatmap_bins),
+        (("pairwise",), ("pairwise_step_s",), _pairwise_step),
+        (("velocity_error",), ("vel_threshold_dps",),
+         lambda v: _nonnegative(v, "velocity threshold")),
+        (("velocity_error",), ("safety_angle_deg",), lambda a: _nonnegative(a, "safety angle")),
+        (("origin_sectors",), ("sector_deg",), lambda w: _divisions(360.0, w, "sector")),
+        (("phase_split",), ("split_s",), lambda t: _positive(t, "split time")),
+    )
+    for users, keys, rule in rules:
+        if any(m in metrics for m in users):
+            with _named(" and ".join(keys)):
+                rule(*(out[k] for k in keys))
     return out

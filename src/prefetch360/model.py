@@ -230,12 +230,13 @@ class Instance:
 
     ``capacity`` is the downlink budget D * chunk_s in the same integer units
     as tile sizes.  ``probs`` is any array-like of tile probabilities.  The
-    per-tile ``sizes``/``utilities`` overrides exist for layered refinement,
-    where already-cached levels cost nothing; both default to ``None``, the
-    shared ladder tables.  Construction resolves and checks both per-tile
-    tables once, as the attributes ``size_table`` (int64) and
-    ``utility_table`` (float64), each of shape (N, L+1); the overrides
-    themselves are kept as given.
+    per-tile ``sizes`` override serves layered refinement, where
+    already-cached levels cost nothing; the ``utilities`` override has no
+    caller in the package, and tests use it for instances with exact
+    arithmetic.  Both default to ``None``, the shared ladder tables.
+    Construction resolves and checks both per-tile tables once, as the
+    attributes ``size_table`` (int64) and ``utility_table`` (float64), each
+    of shape (N, L+1); the overrides themselves are kept as given.
     """
 
     grid: DirectionGrid

@@ -393,6 +393,22 @@ def write_trace(trace: HeadTrace, csv_path) -> None:
     sidecar.write_text(json.dumps(meta, indent=2) + "\n")
 
 
+def _check_stride(stride_s: float) -> None:
+    """The window stride's rule, which configs also apply before parsing a trace."""
+    if not 0 < stride_s < np.inf:
+        raise ValueError("stride must be positive and finite")
+
+
+def _positive(value: float, noun: str) -> None:
+    if not value > 0:
+        raise ValueError(f"{noun} must be positive")
+
+
+def _nonnegative(value: float, noun: str) -> None:
+    if not value >= 0:
+        raise ValueError(f"{noun} must be nonnegative")
+
+
 def _divisions(span: float, width: float, name: str) -> int:
     """How many bins of ``width`` tile ``span`` exactly, from 1 to GRID_LIMIT."""
     count = span / width if width > 0 else 0.0
@@ -414,8 +430,7 @@ def _windows(traces, lag_s: float, stride_s: float):
     checked against GRID_LIMIT before anything is allocated.
     """
     traces = _require_traces(traces)
-    if not 0 < stride_s < np.inf:
-        raise ValueError("stride must be positive and finite")
+    _check_stride(stride_s)
     if not lag_s >= 0:
         raise ValueError("lag must be nonnegative")
     if not lag_s < min(tr.duration_s for tr in traces):
@@ -507,16 +522,22 @@ def heatmap(traces, yaw_bin_deg: float = 10.0, pitch_bin_deg: float = 10.0) -> H
     GRID_LIMIT cells.
     """
     traces = _require_traces(traces)
-    n_yaw = _divisions(360.0, yaw_bin_deg, "yaw bin")
-    n_pitch = _divisions(180.0, pitch_bin_deg, "pitch bin")
-    if n_yaw * n_pitch > GRID_LIMIT:
-        raise ValueError(f"a {n_yaw} x {n_pitch} heatmap has more than {GRID_LIMIT} cells")
+    n_yaw, n_pitch = _heatmap_bins(yaw_bin_deg, pitch_bin_deg)
     yaw_edges = np.linspace(-180.0, 180.0, n_yaw + 1)
     pitch_edges = np.linspace(-90.0, 90.0, n_pitch + 1)
     yaw_all = np.concatenate([tr.yaw for tr in traces])
     pitch_all = np.concatenate([tr.pitch for tr in traces])
     counts, _, _ = np.histogram2d(yaw_all, pitch_all, bins=(yaw_edges, pitch_edges))
     return Heatmap(yaw_edges, pitch_edges, counts / counts.sum())
+
+
+def _heatmap_bins(yaw_bin_deg: float, pitch_bin_deg: float) -> tuple[int, int]:
+    """The heatmap's (yaw, pitch) bin counts, refused past GRID_LIMIT cells."""
+    n_yaw = _divisions(360.0, yaw_bin_deg, "yaw bin")
+    n_pitch = _divisions(180.0, pitch_bin_deg, "pitch bin")
+    if n_yaw * n_pitch > GRID_LIMIT:
+        raise ValueError(f"a {n_yaw} x {n_pitch} heatmap has more than {GRID_LIMIT} cells")
+    return n_yaw, n_pitch
 
 
 def pairwise_angular_difference(traces, time_step_s: float = 0.1):
@@ -529,8 +550,7 @@ def pairwise_angular_difference(traces, time_step_s: float = 0.1):
     GRID_LIMIT.
     """
     traces = _require_traces(traces)
-    if not time_step_s > 0:
-        raise ValueError("time step must be positive")
+    _positive(time_step_s, "time step")
     groups: dict[str, list] = {}
     for tr in traces:
         groups.setdefault(tr.video_id, []).append(tr)
@@ -565,8 +585,8 @@ def velocity_prediction_error(traces, lag_s: float, vel_threshold_dps: float,
     fraction where the yaw change over lag_s runs opposite to the velocity by
     more than safety_angle_deg.  Raises if no sample qualifies.
     """
-    if not (vel_threshold_dps >= 0 and safety_angle_deg >= 0):
-        raise ValueError("threshold and safety angle must be nonnegative")
+    _nonnegative(vel_threshold_dps, "velocity threshold")
+    _nonnegative(safety_angle_deg, "safety angle")
     _, _, change, vel = _windows(traces, lag_s, stride_s)
     mask = np.abs(vel) > vel_threshold_dps
     if not mask.any():
@@ -596,8 +616,7 @@ def phase_split_cdf(traces, lag_s: float, split_s: float = 20.0, stride_s: float
     longer than split_s, and both phases must receive samples.
     """
     traces = _require_traces(traces)
-    if not split_s > 0:
-        raise ValueError("split time must be positive")
+    _positive(split_s, "split time")
     if min(tr.duration_s for tr in traces) <= split_s:
         raise ValueError("every trace must be longer than the split time")
     elapsed, _, change, _ = _windows(traces, lag_s, stride_s)

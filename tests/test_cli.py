@@ -561,10 +561,20 @@ class TestExitCodes:
         ("sweep", {**EMPIRICAL_SWEEP, "f": [1, 1.0]}, "f: value 1.000000 is listed twice"),
         ("sweep", {**EMPIRICAL_SWEEP, "lags": [1, 1.0000001]},
          "lags: value 1.000000 is listed twice"),
+        # the stride is checked by the windows' own rule before the cohort is read
+        ("solve", {**EMPIRICAL_SOLVE, "probs": {"family": "empirical", "lag_s": 1, "stride_s": 0}},
+         "probs: stride_s: stride must be positive and finite"),
+        ("sweep", {**EMPIRICAL_SWEEP, "family": {"kind": "empirical", "stride_s": 0}},
+         "family: stride_s: stride must be positive and finite"),
+        ("schedule", {"rates": [100, 200], "N": 3, "passes": [
+            {"lead_s": 5, "budget": 100, "probs": {"family": "empirical", "stride_s": 0}}]},
+         "passes[0].probs: stride_s: stride must be positive and finite"),
     ], ids=["solve-capacity-negative", "solve-beta-7", "solve-parents-table",
             "schedule-beta-7", "schedule-leads-increasing", "schedule-budget-negative",
             "sweep-later-N-parents-table", "sweep-later-N-361", "sweep-large-screen-a-1e300",
-            "sweep-betas-print-alike", "sweep-f-repeated", "sweep-lags-print-alike"])
+            "sweep-betas-print-alike", "sweep-f-repeated", "sweep-lags-print-alike",
+            "solve-empirical-stride-0", "sweep-empirical-stride-0",
+            "schedule-empirical-stride-0"])
     def test_refused_config_parses_no_trace(self, tmp_path, small_cohort, command, config,
                                             message):
         # scalars and the DP table are checked before the first vector is built
@@ -991,13 +1001,47 @@ class TestAnalyze:
         ({"metrics": ["yaw_change"], "lags": [1, 2, 1.0]}, "lags: lag 1 is listed twice"),
         # two lag_s=1 groups would interleave their rows
         ({"metrics": ["yaw_change"], "lags": [1, 1.0000001]}, "lags: lag 1 is listed twice"),
-    ], ids=["metrics-empty", "metric-repeated", "lag-repeated", "lags-print-alike"])
+        # a requested metric's knob values pass its analytic's rules, named by their keys
+        ({"metrics": ["yaw_change"], "stride_s": 0}, "stride_s: stride must be positive and finite"),
+        ({"metrics": ["heatmap"], "yaw_bin_deg": 7},
+         "yaw_bin_deg: yaw bin width must divide 360 evenly into at most 10000000 bins"),
+        ({"metrics": ["heatmap"], "pitch_bin_deg": 7},
+         "pitch_bin_deg: pitch bin width must divide 180 evenly into at most 10000000 bins"),
+        ({"metrics": ["heatmap"], "yaw_bin_deg": 0.001, "pitch_bin_deg": 0.01},
+         "yaw_bin_deg and pitch_bin_deg: a 360000 x 18000 heatmap has more than 10000000 cells"),
+        ({"metrics": ["pairwise"], "pairwise_step_s": 0},
+         "pairwise_step_s: must be at least 0.01 s, the resolution of the t_s= labels"),
+        # rows labelled t_s=0.00 twice could not be told apart
+        ({"metrics": ["pairwise"], "pairwise_step_s": 0.004},
+         "pairwise_step_s: must be at least 0.01 s, the resolution of the t_s= labels"),
+        ({"metrics": ["velocity_error"], "vel_threshold_dps": -1},
+         "vel_threshold_dps: velocity threshold must be nonnegative"),
+        ({"metrics": ["velocity_error"], "safety_angle_deg": -1},
+         "safety_angle_deg: safety angle must be nonnegative"),
+        ({"metrics": ["origin_sectors"], "sector_deg": 7},
+         "sector_deg: sector width must divide 360 evenly into at most 10000000 bins"),
+        ({"metrics": ["phase_split"], "split_s": 0}, "split_s: split time must be positive"),
+    ], ids=["metrics-empty", "metric-repeated", "lag-repeated", "lags-print-alike",
+            "stride-0", "yaw-bin-7", "pitch-bin-7", "heatmap-cells", "pairwise-step-0",
+            "pairwise-step-below-label", "velocity-threshold-negative", "safety-angle-negative",
+            "sector-7", "split-0"])
     def test_refused_config_parses_no_trace(self, tmp_path, trace_dir, config, message):
         cfg = write_config(tmp_path, config, name="analyze.json")
         with mock.patch("prefetch360.config.parse_trace") as parse:
             code, out, err = run_main(["analyze", "--config", cfg, "--traces", str(trace_dir)])
         assert (code, out, err) == (1, "", f"error: {message}\n")
         assert parse.call_count == 0
+
+    @pytest.mark.parametrize("config", [
+        {"metrics": ["heatmap"], "stride_s": 0},
+        {"metrics": ["utilization"], "stride_s": 0, "yaw_bin_deg": 7, "pitch_bin_deg": 7,
+         "pairwise_step_s": 0, "vel_threshold_dps": -1, "safety_angle_deg": -1,
+         "sector_deg": 7, "split_s": 0},
+    ], ids=["heatmap-stride-0", "utilization-every-knob-out-of-range"])
+    def test_knobs_of_unrequested_metrics_go_unchecked(self, tmp_path, trace_dir, config):
+        cfg = write_config(tmp_path, config, name="analyze.json")
+        code, out, err = run_main(["analyze", "--config", cfg, "--traces", str(trace_dir)])
+        assert (code, err) == (0, "") and out.startswith("metric,group,stat,value\n")
 
     @pytest.mark.parametrize("metrics", [{}, {"metrics": [
         "phase_split", "origin_sectors", "velocity_error", "yaw_change", "pairwise", "heatmap",
@@ -1046,7 +1090,7 @@ class TestAnalyzeLimits:
          "cells"),
         ("analyze", {"metrics": ["origin_sectors"], "sector_deg": 1e-300}, "divide 360"),
         ("analyze", {"metrics": ["origin_sectors"], "sector_deg": math.inf}, "divide 360"),
-        ("analyze", {"metrics": ["pairwise"], "pairwise_step_s": 1e-12}, "pair distances"),
+        ("analyze", {"metrics": ["pairwise"], "pairwise_step_s": 1e-12}, "pairwise_step_s"),
         ("analyze", {"metrics": ["yaw_change"], "stride_s": 10**400}, "stride_s"),
         ("solve", {**TOY_SOLVE, "probs": {"family": "empirical", "lag_s": 1.0, "stride_s": 1e-12}},
          "windows, more than"),

@@ -459,6 +459,12 @@ class TestPairwiseDifference:
         with pytest.raises(ValueError, match="fewer than two traces"):
             pairwise_angular_difference(traces)
 
+    def test_refuses_more_pair_distances_than_the_grid_limit(self):
+        # analyze refuses steps below 0.01 s first; the analytic keeps its own bound
+        traces = [constant_trace(0.0, 5.0, 10.0, video_id="v", user_id=u) for u in "ab"]
+        with pytest.raises(ValueError, match="pair distances"):
+            pairwise_angular_difference(traces, time_step_s=1e-12)
+
 
 class TestVelocityPrediction:
     def test_constant_rotation_never_reverses(self):
