@@ -42,15 +42,12 @@ def build_plan():
 def show_trajectory(label, size_model):
     print(f"== {label} ==")
     print(f"{'lead (s)':>8}  {'budget':>6}  {'levels':<12} {'value':>7}")
-    results = run_plan(build_plan(), LADDER, UTILITY, beta=0.0, size_model=size_model)
-    for r in results:
+    plan = build_plan()
+    results = run_plan(plan, LADDER, UTILITY, beta=0.0, size_model=size_model)
+    for booking, r in zip(plan.passes, results):
         levels = " ".join(str(int(x)) for x in r.state.levels)
-        print(f"{r.lead_time_s:>8.1f}  {plan_budget(r.index):>6}  {levels:<12} {r.value:>7.4f}")
+        print(f"{booking.lead_time_s:>8.1f}  {booking.budget:>6}  {levels:<12} {r.value:>7.4f}")
     return results[-1]
-
-
-def plan_budget(index):
-    return PASSES[index][1]
 
 
 def main():

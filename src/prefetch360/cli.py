@@ -170,9 +170,9 @@ def cmd_sweep(args) -> int:
 def cmd_schedule(args) -> int:
     plan, ladder, utility, beta, size_model = parse_schedule(load_json(args.config), args.traces)
     results = run_plan(plan, ladder, utility, beta, size_model)
-    rows = [(r.index, _fmt(r.lead_time_s), plan.passes[r.index].budget,
+    rows = [(i, _fmt(booking.lead_time_s), booking.budget,
              "|".join(str(int(x)) for x in r.state.levels), _fmt(r.value))
-            for r in results]
+            for i, (booking, r) in enumerate(zip(plan.passes, results))]
     _emit_csv(("pass", "lead_s", "budget", "levels", "value"), rows, args.out)
     return 0
 
@@ -190,10 +190,9 @@ def cmd_analyze(args) -> int:
         for axis in ("yaw", "pitch", "roll"):
             rows += _describe_rows("utilization", axis, angle_utilization_cdf(traces, axis))
     if "heatmap" in metrics:
-        grid = heatmap(traces, spec["yaw_bin_deg"], spec["pitch_bin_deg"])
-        yaw, pitch = grid.yaw_edges, grid.pitch_edges
+        freq, yaw, pitch = heatmap(traces, spec["yaw_bin_deg"], spec["pitch_bin_deg"])
         rows += [("heatmap", f"yaw[{yaw[i]:g},{yaw[i + 1]:g})|pitch[{pitch[j]:g},{pitch[j + 1]:g})",
-                  "freq", _fmt(grid.freq[i, j])) for i, j in zip(*np.nonzero(grid.freq))]
+                  "freq", _fmt(freq[i, j])) for i, j in zip(*np.nonzero(freq))]
     if "pairwise" in metrics:
         times, mean_diff = pairwise_angular_difference(traces, spec["pairwise_step_s"])
         rows += [("pairwise", "all", f"t_s={t:.2f}", _fmt(v)) for t, v in zip(times, mean_diff)]

@@ -102,13 +102,16 @@ class SolveStats:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Solver output: the chosen selection, its value, run stats, per-capacity selections."""
+    """Solver output: the chosen selection, run stats, per-capacity selections."""
 
     selection: Selection
-    value: float
     method: str
     stats: SolveStats
     selections: tuple[Selection, ...] = ()
+
+    @property
+    def value(self) -> float:
+        return self.selection.value
 
 
 def _gains(inst: Instance) -> np.ndarray:
@@ -319,8 +322,7 @@ def solve_dp(inst: Instance, capacities=None) -> SolveReport:
                 c -= int(sizes[n, l])
             selections[k] = Selection(tuple(levels), value)
     top, *rest = selections
-    return SolveReport(top, top.value, "dp", SolveStats(n_levels * n_levels * grid_n * (cap + 1)),
-                       tuple(rest))
+    return SolveReport(top, "dp", SolveStats(n_levels * n_levels * grid_n * (cap + 1)), tuple(rest))
 
 
 def brute_force(inst: Instance) -> SolveReport:
@@ -358,7 +360,7 @@ def brute_force(inst: Instance) -> SolveReport:
     if best_levels is None:
         raise ValueError("no feasible assignment")
     return SolveReport(Selection(tuple(int(x) for x in best_levels), float(best_value)),
-                       float(best_value), "brute_force", SolveStats(total))
+                       "brute_force", SolveStats(total))
 
 
 def solve_mckp(inst: Instance) -> SolveReport:
@@ -396,6 +398,5 @@ def solve_mckp(inst: Instance) -> SolveReport:
         cur = int(parents[n, c])
         levels[n] = cur
         c -= int(sizes[n, cur])
-    value = float(money[cap])
-    return SolveReport(Selection(tuple(int(x) for x in levels), value), value, "mckp",
+    return SolveReport(Selection(tuple(int(x) for x in levels), float(money[cap])), "mckp",
                        SolveStats(grid_n * (cap + 1)))

@@ -124,8 +124,6 @@ def upgrade_sizes(state: TileState, ladder: QualityLadder, size_model: SizeModel
 class PassResult:
     """State after one pass and its value under that pass's probabilities."""
 
-    index: int
-    lead_time_s: float
     state: TileState
     value: float
 
@@ -137,16 +135,16 @@ def run_plan(plan: PrefetchPlan, ladder: QualityLadder, utility: UtilityModel,
     Each pass solves against upgrade prices, so "keep what is cached" is
     always feasible, and the merged state never drops a tile below its cached
     level even when the solver would.  Each result reports the merged state's
-    objective under that pass's probability vector; the last entry is the
-    value that matters, the final state under the final (sharpest) probs.
+    objective under that pass's probability vector.  ``results[i]`` belongs to
+    ``plan.passes[i]``; the last entry is the value that matters, the final
+    state under the final (sharpest) probs.
     """
     grid = DirectionGrid(plan.passes[0].probs.size)
     state = TileState.empty(grid.n_tiles)
     results = []
-    for i, booking in enumerate(plan.passes):
+    for booking in plan.passes:
         inst = Instance(grid, ladder, utility, booking.probs, booking.budget, beta,
                         sizes=upgrade_sizes(state, ladder, size_model))
         state = TileState(np.maximum(state.levels, solve_dp(inst).selection.levels))
-        value = eval_objective(state.levels, inst)
-        results.append(PassResult(i, booking.lead_time_s, state, value))
+        results.append(PassResult(state, eval_objective(state.levels, inst)))
     return results

@@ -51,7 +51,6 @@ __all__ = [
     "CATEGORIES",
     "HeadTrace",
     "Cdf",
-    "Heatmap",
     "parse_trace",
     "write_trace",
     "angle_utilization_cdf",
@@ -498,15 +497,6 @@ class Cdf:
         }
 
 
-@dataclass(frozen=True, eq=False)
-class Heatmap:
-    """Joint yaw/pitch occupancy histogram; frequencies sum to 1."""
-
-    yaw_edges: np.ndarray
-    pitch_edges: np.ndarray
-    freq: np.ndarray
-
-
 def angle_utilization_cdf(traces, axis: str = "yaw") -> Cdf:
     """CDF of raw orientation samples pooled over traces, one axis."""
     traces = _require_traces(traces)
@@ -515,11 +505,12 @@ def angle_utilization_cdf(traces, axis: str = "yaw") -> Cdf:
     return Cdf(np.concatenate([getattr(tr, axis) for tr in traces]))
 
 
-def heatmap(traces, yaw_bin_deg: float = 10.0, pitch_bin_deg: float = 10.0) -> Heatmap:
-    """Yaw/pitch occupancy frequencies on a regular grid.
+def heatmap(traces, yaw_bin_deg: float = 10.0, pitch_bin_deg: float = 10.0):
+    """Yaw/pitch occupancy on a regular grid as ``(freq, yaw_edges, pitch_edges)``.
 
-    Bin widths must divide 360 (yaw) and 180 (pitch) evenly, into at most
-    GRID_LIMIT cells.
+    The triple is ``np.histogram2d``'s, its counts turned into frequencies that
+    sum to 1.  Bin widths must divide 360 (yaw) and 180 (pitch) evenly, into at
+    most GRID_LIMIT cells.
     """
     traces = _require_traces(traces)
     n_yaw, n_pitch = _heatmap_bins(yaw_bin_deg, pitch_bin_deg)
@@ -528,7 +519,7 @@ def heatmap(traces, yaw_bin_deg: float = 10.0, pitch_bin_deg: float = 10.0) -> H
     yaw_all = np.concatenate([tr.yaw for tr in traces])
     pitch_all = np.concatenate([tr.pitch for tr in traces])
     counts, _, _ = np.histogram2d(yaw_all, pitch_all, bins=(yaw_edges, pitch_edges))
-    return Heatmap(yaw_edges, pitch_edges, counts / counts.sum())
+    return counts / counts.sum(), yaw_edges, pitch_edges
 
 
 def _heatmap_bins(yaw_bin_deg: float, pitch_bin_deg: float) -> tuple[int, int]:

@@ -835,7 +835,7 @@ class TestOracle:
         assert payload["mismatches"] == []
 
     def test_mismatch_exits_2(self, tmp_path, monkeypatch, capsys):
-        bogus = SolveReport(Selection((0, 0, 0), 99.0), 99.0, "dp", SolveStats(0))
+        bogus = SolveReport(Selection((0, 0, 0), 99.0), "dp", SolveStats(0))
         monkeypatch.setattr(cli, "solve_dp", lambda inst: bogus)
         cfg = write_config(tmp_path, TOY_SOLVE)
         assert main(["oracle", "--config", cfg]) == 2

@@ -3,7 +3,7 @@
 import prefetch360
 
 PUBLIC = [
-    "CATEGORIES", "Cdf", "DirectionGrid", "HeadTrace", "Heatmap", "Instance", "PassResult",
+    "CATEGORIES", "Cdf", "DirectionGrid", "HeadTrace", "Instance", "PassResult",
     "PrefetchPass", "PrefetchPlan", "QualityLadder", "Selection", "SizeModel", "SolveReport",
     "SolveStats", "TileState", "UtilityModel", "angle_utilization_cdf", "brute_force",
     "build_utility_table", "circ_diff_deg", "circ_dist_deg", "circular_smooth", "constant_trace",
@@ -18,7 +18,7 @@ PUBLIC = [
 
 
 def test_public_names_are_pinned_and_resolve():
-    assert len(PUBLIC) == 48
+    assert len(PUBLIC) == 47
     assert sorted(prefetch360.__all__) == PUBLIC
     assert all(hasattr(prefetch360, name) for name in PUBLIC)
 

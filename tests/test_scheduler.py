@@ -173,11 +173,3 @@ class TestRunPlan:
         final = results[-1].state.levels
         assert min(final[0], final[5]) >= max(final[2], final[3])
         assert results[-1].value >= results[0].value - 1e-12
-
-
-def test_run_plan_reports_pass_metadata(toy_ladder):
-    p = np.array(TOY_PROBS)
-    plan = PrefetchPlan((PrefetchPass(9.0, 100, p), PrefetchPass(4.0, 50, p)))
-    results = run_plan(plan, toy_ladder, UtilityModel("linear"))
-    assert [r.index for r in results] == [0, 1]
-    assert [r.lead_time_s for r in results] == [9.0, 4.0]

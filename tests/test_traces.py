@@ -425,12 +425,12 @@ class TestAggregateAnalytics:
 
     def test_heatmap_concentrates_a_fixed_gaze(self):
         trace = constant_trace(yaw_deg=35.0, duration_s=2.0, rate_hz=10.0)
-        grid = heatmap([trace], yaw_bin_deg=10.0, pitch_bin_deg=10.0)
-        assert grid.freq.sum() == pytest.approx(1.0)
-        assert grid.freq.max() == pytest.approx(1.0)
-        hot_yaw, hot_pitch = np.unravel_index(np.argmax(grid.freq), grid.freq.shape)
-        assert grid.yaw_edges[hot_yaw] == 30.0
-        assert grid.pitch_edges[hot_pitch] == 0.0
+        freq, yaw_edges, pitch_edges = heatmap([trace], yaw_bin_deg=10.0, pitch_bin_deg=10.0)
+        assert freq.sum() == pytest.approx(1.0)
+        assert freq.max() == pytest.approx(1.0)
+        hot_yaw, hot_pitch = np.unravel_index(np.argmax(freq), freq.shape)
+        assert yaw_edges[hot_yaw] == 30.0
+        assert pitch_edges[hot_pitch] == 0.0
 
     def test_heatmap_rejects_uneven_bins(self):
         with pytest.raises(ValueError, match="divide 360"):
