@@ -417,10 +417,10 @@ def parse_oracle(cfg: dict) -> int | None:
     return count
 
 
-def _pairwise_step(step: float) -> None:
-    """Refuse a step finer than the pairwise rows' ``t_s=`` labels, printed to 0.01 s."""
-    if not step >= 0.01:
-        raise ValueError("must be at least 0.01 s, the resolution of the t_s= labels")
+def _label_floor(value: float, floor: float, unit: str, labels: str) -> None:
+    """Refuse a value below ``floor``, where two rows' ``labels`` would print alike."""
+    if not value >= floor:
+        raise ValueError(f"must be at least {floor:g} {unit}, the resolution of the {labels}")
 
 
 def parse_analyze(cfg: dict) -> dict:
@@ -458,7 +458,12 @@ def parse_analyze(cfg: dict) -> dict:
         (("heatmap",), ("yaw_bin_deg",), lambda w: _divisions(360.0, w, "yaw bin")),
         (("heatmap",), ("pitch_bin_deg",), lambda w: _divisions(180.0, w, "pitch bin")),
         (("heatmap",), ("yaw_bin_deg", "pitch_bin_deg"), _heatmap_bins),
-        (("pairwise",), ("pairwise_step_s",), _pairwise_step),
+        # heatmap rows print bin edges to six significant digits, pairwise rows t_s= to 0.01 s
+        (("heatmap",), ("yaw_bin_deg",),
+         lambda w: _label_floor(w, 0.001, "deg", "heatmap's edge labels")),
+        (("heatmap",), ("pitch_bin_deg",),
+         lambda w: _label_floor(w, 0.001, "deg", "heatmap's edge labels")),
+        (("pairwise",), ("pairwise_step_s",), lambda s: _label_floor(s, 0.01, "s", "t_s= labels")),
         (("velocity_error",), ("vel_threshold_dps",),
          lambda v: _nonnegative(v, "velocity threshold")),
         (("velocity_error",), ("safety_angle_deg",), lambda a: _nonnegative(a, "safety angle")),

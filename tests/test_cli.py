@@ -235,8 +235,10 @@ class TestExitCodes:
         for argv in (["oracle", "--config", write_config(tmp_path, {"batch": {"count": 1}})],
                      ["gen-traces", "--config", write_config(tmp_path, {"count_per_kind": 1}),
                       "--out", str(out)]):
-            assert run_main([*argv, "--seed", "-1"]) == (
-                1, "", "error: argument --seed: must be a nonnegative integer\n")
+            for seed, line in (("-1", "must be a nonnegative integer"),
+                               ("abc", "invalid int value: 'abc'")):
+                assert run_main([*argv, "--seed", seed]) == (
+                    1, "", f"error: argument --seed: {line}\n")
         assert not out.exists()
         assert main(["nope"]) == 1
         # the list of choices after the name is worded differently across Python versions
@@ -399,6 +401,9 @@ class TestExitCodes:
         ("sweep", {**SWEEP, "family": {"kind": "empirical", "category": [1]}},
          "family: unknown trace category [1]"),
         ("analyze", {"category": "nope"}, "category: unknown trace category 'nope'"),
+        ("solve", {**TOY_SOLVE, "probs": {"family": "empirical"}},
+         "probs: empirical family needs lag_s > 0"),
+        ("schedule", {**one_pass_schedule(), "passes": []}, "passes: expected a non-empty list"),
     ], ids=["solve-utility", "sweep-utility", "solve-probs", "schedule-size-model",
             "schedule-pass", "schedule-pass-probs", "oracle-batch", "kinds-empty",
             "kinds-unknown", "kinds-list", "kinds-twice", "metrics-empty", "metrics-unknown",
@@ -410,7 +415,8 @@ class TestExitCodes:
             "schedule-pass-1-sigma-string", "schedule-explicit-length", "solve-N-1",
             "schedule-N-1", "sweep-N-400", "schedule-pass-1-no-probs",
             "schedule-pass-1-no-lead", "schedule-pass-1-lead-string", "solve-category-list",
-            "schedule-category-list", "sweep-category-list", "analyze-category"])
+            "schedule-category-list", "sweep-category-list", "analyze-category",
+            "solve-empirical-no-lag", "schedule-passes-empty"])
     def test_refused_config_prints_the_exact_message(self, tmp_path, command, config, message):
         cfg = write_config(tmp_path, config)
         out = str(tmp_path / "out")
@@ -972,7 +978,7 @@ class TestAnalyze:
 
     def test_full_report(self, tmp_path, trace_dir):
         cfg = write_config(tmp_path, {
-            "metrics": ["utilization", "yaw_change", "velocity_error", "pairwise"],
+            "metrics": ["utilization", "heatmap", "yaw_change", "velocity_error", "pairwise"],
             "lags": [1.0], "pairwise_step_s": 1.0,
         }, name="analyze.json")
         out = tmp_path / "report.csv"
@@ -981,7 +987,11 @@ class TestAnalyze:
         rows = read_csv(out)
         assert rows[0] == ["metric", "group", "stat", "value"]
         metrics = {row[0] for row in rows[1:]}
-        assert {"utilization", "yaw_change", "velocity_error", "pairwise", "reference"} <= metrics
+        assert {"utilization", "heatmap", "yaw_change", "velocity_error", "pairwise",
+                "reference"} <= metrics
+        # a (metric, group, stat) key names one row
+        keys = [tuple(row[:3]) for row in rows[1:]]
+        assert len(set(keys)) == len(keys)
         # constant-velocity rotations never reverse direction
         error_rows = [row for row in rows if row[0] == "velocity_error"]
         assert error_rows and all(row[3] == "0.000000" for row in error_rows)
@@ -1009,6 +1019,11 @@ class TestAnalyze:
          "pitch_bin_deg: pitch bin width must divide 180 evenly into at most 10000000 bins"),
         ({"metrics": ["heatmap"], "yaw_bin_deg": 0.001, "pitch_bin_deg": 0.01},
          "yaw_bin_deg and pitch_bin_deg: a 360000 x 18000 heatmap has more than 10000000 cells"),
+        # 720,000 yaw bins: edges such as -100.2695 and -100.269 both print as -100.269
+        ({"metrics": ["heatmap"], "yaw_bin_deg": 0.0005, "pitch_bin_deg": 180},
+         "yaw_bin_deg: must be at least 0.001 deg, the resolution of the heatmap's edge labels"),
+        ({"metrics": ["heatmap"], "yaw_bin_deg": 360, "pitch_bin_deg": 0.0005},
+         "pitch_bin_deg: must be at least 0.001 deg, the resolution of the heatmap's edge labels"),
         ({"metrics": ["pairwise"], "pairwise_step_s": 0},
          "pairwise_step_s: must be at least 0.01 s, the resolution of the t_s= labels"),
         # rows labelled t_s=0.00 twice could not be told apart
@@ -1022,7 +1037,8 @@ class TestAnalyze:
          "sector_deg: sector width must divide 360 evenly into at most 10000000 bins"),
         ({"metrics": ["phase_split"], "split_s": 0}, "split_s: split time must be positive"),
     ], ids=["metrics-empty", "metric-repeated", "lag-repeated", "lags-print-alike",
-            "stride-0", "yaw-bin-7", "pitch-bin-7", "heatmap-cells", "pairwise-step-0",
+            "stride-0", "yaw-bin-7", "pitch-bin-7", "heatmap-cells", "yaw-bin-below-label",
+            "pitch-bin-below-label", "pairwise-step-0",
             "pairwise-step-below-label", "velocity-threshold-negative", "safety-angle-negative",
             "sector-7", "split-0"])
     def test_refused_config_parses_no_trace(self, tmp_path, trace_dir, config, message):
@@ -1031,6 +1047,25 @@ class TestAnalyze:
             code, out, err = run_main(["analyze", "--config", cfg, "--traces", str(trace_dir)])
         assert (code, out, err) == (1, "", f"error: {message}\n")
         assert parse.call_count == 0
+
+    def test_heatmap_labels_are_distinct_at_the_bin_floor(self, tmp_path):
+        # parse_trace rebases yaw to start at 0, so a sample at 0 leads one at the centre of
+        # every 0.001 deg yaw bin; the same samples cover every pitch bin twice
+        i = np.arange(360_000)
+        yaw = np.concatenate([[0.0], -180.0 + 0.001 * (i + 0.5)])
+        pitch = np.concatenate([[0.0], -90.0 + 0.001 * (i % 180_000 + 0.5)])
+        zero = np.zeros(yaw.size)
+        trace = traces.HeadTrace(0.01 * np.arange(yaw.size), yaw, pitch, zero, zero, zero, zero)
+        (tmp_path / "traces").mkdir()
+        traces.write_trace(trace, tmp_path / "traces" / "t.csv")
+        for bins, count in (({"yaw_bin_deg": 0.001, "pitch_bin_deg": 180}, 360_000),
+                            ({"yaw_bin_deg": 360, "pitch_bin_deg": 0.001}, 180_000)):
+            cfg = write_config(tmp_path, {"metrics": ["heatmap"], **bins}, name="analyze.json")
+            code, out, err = run_main(["analyze", "--config", cfg,
+                                       "--traces", str(tmp_path / "traces")])
+            assert (code, err) == (0, "")
+            groups = [row[1] for row in csv.reader(io.StringIO(out)) if row[0] == "heatmap"]
+            assert len(set(groups)) == len(groups) == count
 
     @pytest.mark.parametrize("config", [
         {"metrics": ["heatmap"], "stride_s": 0},

@@ -245,10 +245,11 @@ class TestInstance:
         assert inst.size_table.dtype == np.int64
 
     def test_utility_override_validation(self, toy_ladder):
-        with pytest.raises(ValueError, match="finite"):
-            Instance(DirectionGrid(3), toy_ladder, UtilityModel("linear"),
-                     np.array(TOY_PROBS), 100, 0.0,
-                     utilities=np.full((3, 3), np.inf))
+        for utilities, message in ((np.full((3, 3), np.inf), "utilities must be finite"),
+                                   (np.zeros((3, 2)), r"utility table must have shape \(3, 3\)")):
+            with pytest.raises(ValueError, match=message):
+                Instance(DirectionGrid(3), toy_ladder, UtilityModel("linear"),
+                         np.array(TOY_PROBS), 100, 0.0, utilities=utilities)
 
 
 class TestEvalObjective:

@@ -75,6 +75,9 @@ class TestHeadTrace:
         with pytest.raises(ValueError, match="equal length"):
             HeadTrace(t, np.zeros(2), np.zeros(3), np.zeros(3),
                       np.zeros(3), np.zeros(3), np.zeros(3))
+        with pytest.raises(ValueError, match="pitch must be one-dimensional"):
+            HeadTrace(t, np.zeros(3), np.zeros((3, 1)), np.zeros(3),
+                      np.zeros(3), np.zeros(3), np.zeros(3))
 
 
 class TestParseAndWrite:
@@ -555,6 +558,8 @@ class TestSyntheticGenerators:
         trace = random_walk_trace(duration_s=30.0, rate_hz=20.0, step_sigma_deg=10.0,
                                   bound_deg=90.0, rng=rng)
         assert np.abs(trace.yaw).max() <= 90.0
+        with pytest.raises(ValueError, match="bound must lie in"):
+            random_walk_trace(bound_deg=0.0)
 
     def test_explore_then_fixate_freezes_after_the_split(self):
         rng = np.random.default_rng(13)
@@ -562,6 +567,9 @@ class TestSyntheticGenerators:
                                           split_s=10.0, rng=rng)
         frozen = trace.yaw[trace.t >= 10.0]
         assert np.all(frozen == frozen[0])
+        for split_s in (30.0, 40.0):
+            with pytest.raises(ValueError, match="split must fall inside the trace"):
+                explore_then_fixate_trace(duration_s=30.0, rate_hz=10.0, split_s=split_s, rng=rng)
 
     def test_uniform_trace_spans_the_circle(self):
         rng = np.random.default_rng(2)
